@@ -10,11 +10,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Fast correctness gate: vet everything, race-test the telemetry record
-# path, the daemon that drives it, the worker pool, and the concurrent
-# experiment engine (heavy serial simulations skip themselves under
-# -race; the engine's concurrency tests still run).
+# Fast correctness gate: every file gofmt-clean, vet everything, race-test
+# the telemetry record path, the daemon that drives it, the worker pool,
+# and the concurrent experiment engine (heavy serial simulations skip
+# themselves under -race; the engine's concurrency tests still run).
 check:
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race ./internal/telemetry/... ./internal/core/... ./internal/runner/... ./internal/experiments/... ./internal/cluster/... ./internal/faults/...
 

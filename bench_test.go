@@ -14,7 +14,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/holmes-colocation/holmes/internal/cluster"
 	"github.com/holmes-colocation/holmes/internal/experiments"
 	"github.com/holmes-colocation/holmes/internal/hpe"
 	"github.com/holmes-colocation/holmes/internal/perfbench"
@@ -248,32 +247,6 @@ func BenchmarkTickEngineLoaded(b *testing.B) {
 		b.ReportMetric(r.TicksPerSec/1e6, "Mticks/s")
 		b.ReportMetric(r.NsPerTick, "ns/tick")
 		b.ReportMetric(r.AllocsPerTick, "allocs/tick")
-	}
-}
-
-// BenchmarkClusterPlacement measures one placement-scheduler decision
-// over a 64-node registry — the control plane's hot path when the
-// cluster experiment fans pods out across the fleet.
-func BenchmarkClusterPlacement(b *testing.B) {
-	states := make([]cluster.NodeState, 64)
-	for i := range states {
-		states[i] = cluster.NodeState{ID: i, HB: cluster.Heartbeat{
-			Node:            i,
-			SmoothedVPI:     float64((i * 7) % 60),
-			ServiceThreads:  (i * 3) % 12,
-			BatchThreads:    (i * 5) % 16,
-			CapacityThreads: 32,
-			Lendable:        i % 4,
-		}}
-	}
-	req := cluster.PodRequest{Name: "batch-bench", Threads: 8}
-	placer := cluster.VPIAware{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if placer.Place(states, req) < 0 {
-			b.Fatal("no node fit")
-		}
 	}
 }
 

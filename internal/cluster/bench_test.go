@@ -4,7 +4,7 @@ import "testing"
 
 // benchRegistry is a 64-node registry with heterogeneous load, the
 // scheduler's worst supported case.
-func benchRegistry() []NodeState {
+func benchRegistry() *Registry {
 	sts := make([]NodeState, 64)
 	for i := range sts {
 		sts[i] = NodeState{ID: i, HB: Heartbeat{
@@ -19,26 +19,26 @@ func benchRegistry() []NodeState {
 			sts[i].Hot = 2
 		}
 	}
-	return sts
+	return loadRegistry(sts, defaultShardSize)
 }
 
 func BenchmarkVPIAwarePlace64Nodes(b *testing.B) {
-	sts := benchRegistry()
+	g := benchRegistry()
 	req := PodRequest{Name: "batch-bench", Threads: 8}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if (VPIAware{}).Place(sts, req) < 0 {
+		if (VPIAware{}).Place(g, req) < 0 {
 			b.Fatal("no node fit")
 		}
 	}
 }
 
 func BenchmarkBinPackPlace64Nodes(b *testing.B) {
-	sts := benchRegistry()
+	g := benchRegistry()
 	req := PodRequest{Name: "batch-bench", Threads: 8}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if (BinPack{}).Place(sts, req) < 0 {
+		if (BinPack{}).Place(g, req) < 0 {
 			b.Fatal("no node fit")
 		}
 	}

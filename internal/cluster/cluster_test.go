@@ -115,11 +115,11 @@ func mkStates(used ...[2]int) []NodeState {
 
 func TestBinPackFirstFit(t *testing.T) {
 	sts := mkStates([2]int{16, 0}, [2]int{6, 0}, [2]int{0, 0})
-	got := (BinPack{}).Place(sts, PodRequest{Threads: 8})
+	got := placeChecked(t, BinPack{}, sts, PodRequest{Threads: 8})
 	if got != 1 {
 		t.Fatalf("binpack chose node %d, want 1 (first with room)", got)
 	}
-	if got := (BinPack{}).Place(sts, PodRequest{Threads: 17}); got != -1 {
+	if got := placeChecked(t, BinPack{}, sts, PodRequest{Threads: 17}); got != -1 {
 		t.Fatalf("binpack placed an unfittable pod on node %d", got)
 	}
 }
@@ -129,14 +129,14 @@ func TestVPIAwareSpreadsGuaranteed(t *testing.T) {
 	sts[0].HB.SmoothedVPI = 10
 	sts[1].HB.SmoothedVPI = 30
 	sts[2].HB.SmoothedVPI = 5
-	got := (VPIAware{}).Place(sts, PodRequest{Guaranteed: true, Threads: 4})
+	got := placeChecked(t, VPIAware{}, sts, PodRequest{Guaranteed: true, Threads: 4})
 	if got != 2 {
 		t.Fatalf("guaranteed pod placed on node %d, want 2 (lowest VPI)", got)
 	}
 	// Equal VPI: fewest service threads breaks the tie.
 	sts[2].HB.SmoothedVPI = 10
 	sts[1].HB.SmoothedVPI = 10
-	got = (VPIAware{}).Place(sts, PodRequest{Guaranteed: true, Threads: 4})
+	got = placeChecked(t, VPIAware{}, sts, PodRequest{Guaranteed: true, Threads: 4})
 	if got != 1 {
 		t.Fatalf("guaranteed pod placed on node %d, want 1 (fewest service threads)", got)
 	}
@@ -146,7 +146,7 @@ func TestVPIAwareBackfillsLendable(t *testing.T) {
 	sts := mkStates([2]int{8, 0}, [2]int{8, 0}, [2]int{12, 0})
 	sts[0].HB.Lendable = 0
 	sts[1].HB.Lendable = 3 // same free threads, more grantable siblings
-	got := (VPIAware{}).Place(sts, PodRequest{Threads: 4})
+	got := placeChecked(t, VPIAware{}, sts, PodRequest{Threads: 4})
 	if got != 1 {
 		t.Fatalf("besteffort pod placed on node %d, want 1 (most lendable)", got)
 	}
@@ -155,13 +155,13 @@ func TestVPIAwareBackfillsLendable(t *testing.T) {
 func TestVPIAwareAvoidsHotNodesUnlessOnlyFit(t *testing.T) {
 	sts := mkStates([2]int{0, 0}, [2]int{8, 0})
 	sts[0].Hot = 2
-	got := (VPIAware{}).Place(sts, PodRequest{Threads: 4})
+	got := placeChecked(t, VPIAware{}, sts, PodRequest{Threads: 4})
 	if got != 1 {
 		t.Fatalf("besteffort pod placed on node %d, want 1 (node 0 is hot)", got)
 	}
 	// When only hot nodes fit, placing still beats dropping.
 	sts[1].HB.ServiceThreads = 16
-	got = (VPIAware{}).Place(sts, PodRequest{Threads: 4})
+	got = placeChecked(t, VPIAware{}, sts, PodRequest{Threads: 4})
 	if got != 0 {
 		t.Fatalf("besteffort pod placed on node %d, want 0 (only fit)", got)
 	}
@@ -169,7 +169,7 @@ func TestVPIAwareAvoidsHotNodesUnlessOnlyFit(t *testing.T) {
 	sts[0].HB.SmoothedVPI = 50
 	sts[1].HB.ServiceThreads = 8
 	sts[1].HB.SmoothedVPI = 10
-	got = (VPIAware{}).Place(sts, PodRequest{Guaranteed: true, Threads: 4})
+	got = placeChecked(t, VPIAware{}, sts, PodRequest{Guaranteed: true, Threads: 4})
 	if got != 1 {
 		t.Fatalf("guaranteed pod placed on node %d, want 1", got)
 	}

@@ -61,25 +61,6 @@ func TestLoDDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestLoDFullRescanBaselineAgrees pins that the naive baseline (full
-// rescan, full fidelity) and the default spec (no LoD) compute the same
-// run: FullRescan changes cost, never results.
-func TestLoDFullRescanBaselineAgrees(t *testing.T) {
-	spec := testSpec()
-	fast, err := Run(spec, RunOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, err := Run(spec, RunOptions{Workers: 4, FullRescan: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Render() != naive.Render() {
-		t.Fatalf("FullRescan changed results:\n--- sharded ---\n%s\n--- naive ---\n%s",
-			fast.Render(), naive.Render())
-	}
-}
-
 // TestLoDDisabledUnderNodeChaos pins the contract: a node-fault schedule
 // (crashes, partitions) forces full fidelity even under LoD auto, because
 // its per-round semantics assume every machine advances in lockstep.

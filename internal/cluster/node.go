@@ -10,10 +10,6 @@ import (
 	"github.com/holmes-colocation/holmes/internal/kernel"
 	"github.com/holmes-colocation/holmes/internal/kubelite"
 	"github.com/holmes-colocation/holmes/internal/kvstore"
-	"github.com/holmes-colocation/holmes/internal/kvstore/memcached"
-	"github.com/holmes-colocation/holmes/internal/kvstore/redis"
-	"github.com/holmes-colocation/holmes/internal/kvstore/rocksdb"
-	"github.com/holmes-colocation/holmes/internal/kvstore/wiredtiger"
 	"github.com/holmes-colocation/holmes/internal/lcservice"
 	"github.com/holmes-colocation/holmes/internal/machine"
 	"github.com/holmes-colocation/holmes/internal/rng"
@@ -106,9 +102,8 @@ type Node struct {
 	sloNs    float64
 	services map[string]*nodeService
 
-	// Measurement baselines, captured when the measured window opens.
-	busyBase      float64
-	completedPods int
+	// Measurement baseline, captured when the measured window opens.
+	busyBase float64
 }
 
 // bootNode builds one node. Its machine seed derives from (cluster seed,
@@ -251,12 +246,12 @@ func (n *Node) PlaceService(ss ServiceSpec) error {
 	if _, dup := n.services[ss.Name]; dup {
 		return fmt.Errorf("cluster: node %d already runs service %s", n.ID, ss.Name)
 	}
-	store, err := newStore(ss.Store, rng.DeriveSeed(n.seed, "svc-store", ss.Name))
+	store, err := lcservice.NewStore(ss.Store, rng.DeriveSeed(n.seed, "svc-store", ss.Name))
 	if err != nil {
 		return err
 	}
 	svc := lcservice.Launch(n.k, store, lcservice.DefaultConfigFor(ss.Store))
-	wl, err := ycsb.ByName(defaultStr(ss.Workload, "a"))
+	wl, err := ycsb.ByName(orDefault(ss.Workload, "a"))
 	if err != nil {
 		return err
 	}
@@ -291,7 +286,7 @@ func (n *Node) PlaceReplica(name, service string, rs scenario.ReplicatedService)
 	if _, dup := n.services[name]; dup {
 		return fmt.Errorf("cluster: node %d already runs replica %s", n.ID, name)
 	}
-	store, err := newStore(rs.Store, rng.DeriveSeed(n.seed, "replica-store", service))
+	store, err := lcservice.NewStore(rs.Store, rng.DeriveSeed(n.seed, "replica-store", service))
 	if err != nil {
 		return err
 	}
@@ -412,20 +407,18 @@ func (n *Node) ReapFinished() ([]string, error) {
 		if err := n.kl.DeletePod(name); err != nil {
 			return done, err
 		}
-		n.completedPods++
 		done = append(done, name)
 	}
 	return done, nil
 }
 
 // BeginMeasurement opens the measured window: latency histograms reset
-// and the utilization / completion baselines are captured.
+// and the utilization baseline is captured.
 func (n *Node) BeginMeasurement() {
 	for _, s := range n.services {
 		s.svc.ResetLatencies()
 	}
 	n.busyBase = n.totalBusy()
-	n.completedPods = 0
 }
 
 func (n *Node) totalBusy() float64 {
@@ -443,10 +436,6 @@ func (n *Node) Utilization(windowNs int64) float64 {
 		(n.m.Config().FreqGHz * float64(windowNs) * nCPU)
 }
 
-// CompletedPods returns finite BestEffort pods reaped since
-// BeginMeasurement.
-func (n *Node) CompletedPods() int { return n.completedPods }
-
 // Stop halts the node's daemon and clients.
 func (n *Node) Stop() {
 	for _, s := range n.services {
@@ -455,26 +444,4 @@ func (n *Node) Stop() {
 		}
 	}
 	n.kl.Stop()
-}
-
-// newStore mirrors the experiments/scenario constructors (kept local so
-// cluster does not depend on either package).
-func newStore(name string, seed uint64) (kvstore.Store, error) {
-	switch name {
-	case "redis":
-		cfg := redis.DefaultConfig()
-		cfg.Seed = seed
-		return redis.New(cfg), nil
-	case "memcached":
-		return memcached.New(memcached.DefaultConfig()), nil
-	case "rocksdb":
-		cfg := rocksdb.DefaultConfig()
-		cfg.Seed = seed
-		return rocksdb.New(cfg), nil
-	case "wiredtiger":
-		cfg := wiredtiger.DefaultConfig()
-		cfg.Seed = seed
-		return wiredtiger.New(cfg), nil
-	}
-	return nil, fmt.Errorf("cluster: unknown store %q", name)
 }

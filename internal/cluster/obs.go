@@ -105,6 +105,17 @@ func newRunTracer(p *obs.Plane, hbNs int64) *runTracer {
 // roundNs is the control-plane timestamp for decisions taken in round r.
 func (t *runTracer) roundNs(r int) int64 { return int64(r) * t.hbNs }
 
+// finishSpan closes the open interval span open[key], if any, at now and
+// forgets it, returning its ID.
+func finishSpan[K comparable](rec *telemetry.SpanRecorder, open map[K]uint64, key K, now int64) (uint64, bool) {
+	id, ok := open[key]
+	if ok {
+		rec.Finish(id, now)
+		delete(open, key)
+	}
+	return id, ok
+}
+
 func (t *runTracer) admit(name string, r int) {
 	if t == nil {
 		return
@@ -122,9 +133,7 @@ func (t *runTracer) place(name string, r, node int) {
 	}
 	now := t.roundNs(r)
 	kind := telemetry.SpanPodPlace
-	if id, ok := t.requeueSpan[name]; ok {
-		t.rec.Finish(id, now)
-		delete(t.requeueSpan, name)
+	if id, ok := finishSpan(t.rec, t.requeueSpan, name, now); ok {
 		t.tail[name] = id
 		kind = telemetry.SpanPodReschedule
 	}
@@ -143,10 +152,7 @@ func (t *runTracer) evict(name string, r, node, hotStreak int, trendVPI float64)
 		return
 	}
 	now := t.roundNs(r)
-	if id, ok := t.runSpan[name]; ok {
-		t.rec.Finish(id, now)
-		delete(t.runSpan, name)
-	}
+	finishSpan(t.rec, t.runSpan, name, now)
 	qStart := t.roundNs(r - hotStreak)
 	if qStart < 0 {
 		qStart = 0
@@ -172,10 +178,7 @@ func (t *runTracer) requeue(name string, r int, detail string) {
 		return
 	}
 	now := t.roundNs(r)
-	if id, ok := t.runSpan[name]; ok {
-		t.rec.Finish(id, now)
-		delete(t.runSpan, name)
-	}
+	finishSpan(t.rec, t.runSpan, name, now)
 	t.requeueSpan[name] = t.rec.Start(telemetry.Span{Kind: telemetry.SpanPodRequeue,
 		Parent: t.tail[name], StartNs: now, Node: -1, CPU: -1,
 		Name: name, Detail: detail})
@@ -186,10 +189,7 @@ func (t *runTracer) complete(name string, r int) {
 		return
 	}
 	now := t.roundNs(r)
-	if id, ok := t.runSpan[name]; ok {
-		t.rec.Finish(id, now)
-		delete(t.runSpan, name)
-	}
+	finishSpan(t.rec, t.runSpan, name, now)
 	t.rec.Add(telemetry.Span{Kind: telemetry.SpanPodComplete,
 		Parent: t.tail[name], StartNs: now, EndNs: now,
 		Node: -1, CPU: -1, Name: name})
@@ -204,9 +204,7 @@ func (t *runTracer) servicePlace(name string, r, node int) {
 	}
 	now := t.roundNs(r)
 	kind := telemetry.SpanServicePlace
-	if id, ok := t.requeueSpan[name]; ok {
-		t.rec.Finish(id, now)
-		delete(t.requeueSpan, name)
+	if id, ok := finishSpan(t.rec, t.requeueSpan, name, now); ok {
 		t.tail[name] = id
 		kind = telemetry.SpanServiceFailover
 	}
@@ -267,10 +265,7 @@ func (t *runTracer) breakerClose(svc string, r int) {
 	if t == nil {
 		return
 	}
-	if id, ok := t.breakerSpan[svc]; ok {
-		t.rec.Finish(id, t.roundNs(r))
-		delete(t.breakerSpan, svc)
-	}
+	finishSpan(t.rec, t.breakerSpan, svc, t.roundNs(r))
 }
 
 func (t *runTracer) nodeCrash(node, r int) {
@@ -286,10 +281,7 @@ func (t *runTracer) nodeReboot(node, r int) {
 		return
 	}
 	now := t.roundNs(r)
-	if id, ok := t.crashSpan[node]; ok {
-		t.rec.Finish(id, now)
-		delete(t.crashSpan, node)
-	}
+	finishSpan(t.rec, t.crashSpan, node, now)
 	t.rec.Add(telemetry.Span{Kind: telemetry.SpanNodeReboot,
 		StartNs: now, EndNs: now, Node: node, CPU: -1})
 }

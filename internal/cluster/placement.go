@@ -36,12 +36,16 @@ type PodRequest struct {
 	Threads int
 }
 
-// Placer chooses a node for a pod from the registry snapshot, returning
-// the node ID or -1 when nothing fits. Implementations must be
-// deterministic: equal inputs, equal choice.
+// Placer chooses a node for a pod from the registry, returning the node
+// ID or -1 when nothing fits. Implementations must be deterministic:
+// equal inputs, equal choice. They answer from the registry's per-shard
+// bounds and candidate orders instead of rescanning the fleet, and must
+// return exactly what a flat scan over Registry.States() would — the
+// differential tests pin this against flat reference implementations
+// across chaos schedules and shard sizes.
 type Placer interface {
 	Name() string
-	Place(states []NodeState, req PodRequest) int
+	Place(g *Registry, req PodRequest) int
 }
 
 // NewPlacer returns the named policy.
@@ -55,15 +59,6 @@ func NewPlacer(name string) (Placer, error) {
 		return ScoringPlacer{}, nil
 	}
 	return nil, fmt.Errorf("cluster: unknown placer %q", name)
-}
-
-// registryPlacer is the sharded fast path: a placer that can answer the
-// same decision from the Registry's per-shard bounds and candidate orders
-// instead of rescanning the fleet. Implementations must return exactly
-// what their Place would on Registry.States() — the differential tests
-// pin this across chaos schedules and shard sizes.
-type registryPlacer interface {
-	PlaceReg(g *Registry, req PodRequest) int
 }
 
 // fits is the shared capacity rule: a pod fits while the node's declared
@@ -82,19 +77,9 @@ type BinPack struct{}
 // Name implements Placer.
 func (BinPack) Name() string { return PlacerBinPack }
 
-// Place implements Placer.
-func (BinPack) Place(states []NodeState, req PodRequest) int {
-	for _, st := range states {
-		if fits(st, req) {
-			return st.ID
-		}
-	}
-	return -1
-}
-
-// PlaceReg implements registryPlacer: first fit by node ID, skipping
-// whole shards whose max free capacity cannot hold the request.
-func (BinPack) PlaceReg(g *Registry, req PodRequest) int {
+// Place implements Placer: first fit by node ID, skipping whole shards
+// whose max free capacity cannot hold the request.
+func (BinPack) Place(g *Registry, req PodRequest) int {
 	for si := range g.shards {
 		sh := &g.shards[si]
 		sh.ensureAgg(g.states)
@@ -161,34 +146,9 @@ func vpiBetter(a, b float64, id int, bestA, bestB float64, bestID int) bool {
 	return id < bestID
 }
 
-// Place implements Placer.
-func (VPIAware) Place(states []NodeState, req PodRequest) int {
-	best, bestAvoid := -1, -1
-	var bestA, bestB, avoidA, avoidB float64
-	for _, st := range states {
-		if !fits(st, req) {
-			continue
-		}
-		a, b, avoid := vpiKey(st, req.Guaranteed)
-		if avoid {
-			if vpiBetter(a, b, st.ID, avoidA, avoidB, bestAvoid) {
-				bestAvoid, avoidA, avoidB = st.ID, a, b
-			}
-			continue
-		}
-		if vpiBetter(a, b, st.ID, bestA, bestB, best) {
-			best, bestA, bestB = st.ID, a, b
-		}
-	}
-	if best < 0 {
-		return bestAvoid
-	}
-	return best
-}
-
-// PlaceReg implements registryPlacer: the same tiered selection, skipping
-// whole shards whose max free capacity cannot hold the request.
-func (VPIAware) PlaceReg(g *Registry, req PodRequest) int {
+// Place implements Placer: the tiered selection, skipping whole shards
+// whose max free capacity cannot hold the request.
+func (VPIAware) Place(g *Registry, req PodRequest) int {
 	best, bestAvoid := -1, -1
 	var bestA, bestB, avoidA, avoidB float64
 	for si := range g.shards {

@@ -17,47 +17,34 @@ const defaultShardSize = 32
 // round-level question ("is anything hot?", "could this pod ever fit?")
 // answered by rescanning the fleet; at 256-1024 nodes with tens of
 // thousands of pods those rescans dominate the round loop. The sharded
-// registry partitions the fleet by node-ID range and keeps two kinds of
-// derived state per shard:
+// registry partitions the fleet by node-ID range and keeps derived state
+// that answers those questions without the rescan:
 //
-//   - incremental aggregates (free-thread totals, hot/suspect/dead node
-//     counts) maintained by delta on every mutation — a delivered
-//     heartbeat, a placement booking, a detector verdict — so fleet-wide
-//     questions are O(shards), not O(nodes);
-//   - lazily rebuilt bounds and score orders (max free threads, max
-//     capacity, min VPI trend, per-QoS candidate orders for the scoring
-//     placer), recomputed only when a shard was actually touched since
-//     last read. With the level-of-detail policy skipping quiescent
-//     nodes' heartbeats, most shards stay clean for most rounds.
+//   - the fleet's hot-node count, maintained by delta on every mutation —
+//     a delivered heartbeat, a placement booking, a detector verdict — so
+//     the reconciler's "is anything hot?" is O(1);
+//   - lazily rebuilt per-shard bounds and score orders (max free threads,
+//     max capacity, per-QoS candidate orders for the scoring placer),
+//     recomputed only when a shard was actually touched since last read.
+//     With the level-of-detail policy skipping quiescent nodes'
+//     heartbeats, most shards stay clean for most rounds.
 //
-// All mutation goes through Reset/Update so the deltas cannot drift from
-// the states; TestRegistryAggregatesDifferential recomputes everything
-// from scratch after every scripted chaos round and asserts equality.
+// All mutation goes through Reset/Update so the derived state cannot
+// drift from the states; TestRegistryAggregatesDifferential recomputes
+// it from scratch after every scripted chaos round and asserts equality.
 type Registry struct {
 	states []NodeState
 	shards []shard
-
-	// Fleet-wide delta-maintained aggregates (sums of the shard ones).
-	freeThreads int
-	hot         int
-	suspect     int
-	dead        int
+	hot    int // live nodes with Hot > 0, delta-maintained
 }
 
 // shard is one node-ID range's derived state.
 type shard struct {
 	lo, hi int // node-ID range [lo, hi)
 
-	// Delta-maintained on every Reset/Update.
-	freeThreads int // sum of free threads over non-dead nodes
-	hot         int // nodes with Hot > 0
-	suspect     int // nodes with Suspect set
-	dead        int // nodes with Dead set
-
 	// Lazily recomputed when aggDirty (cheap bounds).
-	maxFree     int     // max free threads over non-dead nodes
-	maxCapacity int     // max capacity over non-dead nodes
-	minTrendVPI float64 // min VPI trend over non-dead nodes
+	maxFree     int // max free threads over non-dead nodes
+	maxCapacity int // max capacity over non-dead nodes
 	aggDirty    bool
 
 	// Lazily rebuilt when orderDirty: node IDs sorted by (nodeScore, ID)
@@ -88,7 +75,7 @@ func newRegistry(n, shardSize int) *Registry {
 }
 
 // States exposes the backing slice for read-only passes (rollups, the
-// reconciler, reference full-rescan placement). Mutating an entry
+// reconciler, traffic reconciliation). Mutating an entry
 // directly desynchronizes the aggregates — use Reset or Update.
 func (g *Registry) States() []NodeState { return g.states }
 
@@ -99,19 +86,12 @@ func (g *Registry) shardOf(i int) *shard {
 	return &g.shards[i/size]
 }
 
-// contribution is the delta-maintained aggregate footprint of one node.
-func contribution(st *NodeState) (free, hot, suspect, dead int) {
-	if st.Dead {
-		return 0, 0, 0, 1
+// liveHot is node st's contribution to the fleet hot count.
+func liveHot(st *NodeState) int {
+	if !st.Dead && st.Hot > 0 {
+		return 1
 	}
-	free = st.HB.CapacityThreads - st.HB.UsedThreads()
-	if st.Hot > 0 {
-		hot = 1
-	}
-	if st.Suspect {
-		suspect = 1
-	}
-	return free, hot, suspect, 0
+	return 0
 }
 
 // Reset replaces node i's entry wholesale (boot, reboot, rejoin).
@@ -119,58 +99,29 @@ func (g *Registry) Reset(i int, st NodeState) {
 	g.Update(i, func(cur *NodeState) { *cur = st })
 }
 
-// Update applies fn to node i's entry and folds the resulting aggregate
-// deltas into the node's shard and the fleet totals.
+// Update applies fn to node i's entry, folds the hot-count delta into the
+// fleet total and marks the node's shard for lazy recomputation.
 func (g *Registry) Update(i int, fn func(*NodeState)) {
 	st := &g.states[i]
-	f0, h0, s0, d0 := contribution(st)
+	h0 := liveHot(st)
 	fn(st)
 	st.ID = i // the ID is the registry's key, not the caller's to change
-	f1, h1, s1, d1 := contribution(st)
+	g.hot += liveHot(st) - h0
 	sh := g.shardOf(i)
-	sh.freeThreads += f1 - f0
-	sh.hot += h1 - h0
-	sh.suspect += s1 - s0
-	sh.dead += d1 - d0
 	sh.aggDirty = true
 	sh.orderDirty = true
-	g.freeThreads += f1 - f0
-	g.hot += h1 - h0
-	g.suspect += s1 - s0
-	g.dead += d1 - d0
 }
 
-// HotNodes returns how many nodes currently have a hot streak — the
+// HotNodes returns how many live nodes currently have a hot streak — the
 // reconciler's O(1) early-out: no hot nodes, no eviction scan.
 func (g *Registry) HotNodes() int { return g.hot }
 
-// SuspectNodes returns how many nodes the failure detector suspects.
-func (g *Registry) SuspectNodes() int { return g.suspect }
-
-// DeadNodes returns how many nodes are declared dead.
-func (g *Registry) DeadNodes() int { return g.dead }
-
-// FreeThreads returns the fleet's total free thread capacity over
-// non-dead nodes.
-func (g *Registry) FreeThreads() int { return g.freeThreads }
-
-// MinTrendVPI returns the lowest VPI trend among non-dead nodes (+Inf
-// when every node is dead) — a fleet-health diagnostic.
-func (g *Registry) MinTrendVPI() float64 {
-	min := math.Inf(1)
-	for si := range g.shards {
-		sh := &g.shards[si]
-		sh.ensureAgg(g.states)
-		if sh.minTrendVPI < min {
-			min = sh.minTrendVPI
-		}
-	}
-	return min
-}
-
 // AnyNodeCouldFit reports whether the request would fit some live node if
-// that node were empty — the sharded equivalent of anyNodeCouldFit,
-// answered from the per-shard capacity bound.
+// that node were empty — distinguishing "can never be placed" (a spec
+// error) from "no capacity right now" (retry next round) — answered from
+// the per-shard capacity bound. Dead nodes don't count: a fleet whose
+// only capacity-capable nodes are permanently dead can never place the
+// pod, and must surface that instead of retrying forever.
 func (g *Registry) AnyNodeCouldFit(req PodRequest) bool {
 	for si := range g.shards {
 		sh := &g.shards[si]
@@ -190,7 +141,6 @@ func (s *shard) ensureAgg(states []NodeState) {
 	}
 	s.maxFree = math.MinInt32
 	s.maxCapacity = math.MinInt32
-	s.minTrendVPI = math.Inf(1)
 	for i := s.lo; i < s.hi; i++ {
 		st := &states[i]
 		if st.Dead {
@@ -201,9 +151,6 @@ func (s *shard) ensureAgg(states []NodeState) {
 		}
 		if st.HB.CapacityThreads > s.maxCapacity {
 			s.maxCapacity = st.HB.CapacityThreads
-		}
-		if st.TrendVPI < s.minTrendVPI {
-			s.minTrendVPI = st.TrendVPI
 		}
 	}
 	s.aggDirty = false

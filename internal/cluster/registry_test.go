@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // lcg is a tiny deterministic generator for test schedules.
 type lcg uint64
@@ -15,27 +12,15 @@ func (g *lcg) next() uint64 {
 
 func (g *lcg) intn(n int) int { return int(g.next() % uint64(n)) }
 
-// refAggregates recomputes the fleet aggregates from scratch.
-func refAggregates(states []NodeState) (free, hot, suspect, dead int, minTrend float64) {
-	minTrend = math.Inf(1)
+// refHot recomputes the fleet hot count from scratch.
+func refHot(states []NodeState) int {
+	hot := 0
 	for i := range states {
-		st := &states[i]
-		if st.Dead {
-			dead++
-			continue
-		}
-		free += st.HB.CapacityThreads - st.HB.UsedThreads()
-		if st.Hot > 0 {
+		if !states[i].Dead && states[i].Hot > 0 {
 			hot++
 		}
-		if st.Suspect {
-			suspect++
-		}
-		if st.TrendVPI < minTrend {
-			minTrend = st.TrendVPI
-		}
 	}
-	return
+	return hot
 }
 
 // chaosMutate applies one pseudo-random registry transition: a delivered
@@ -97,10 +82,11 @@ func chaosMutate(g *Registry, rng *lcg, i int) {
 
 // TestRegistryAggregatesDifferential drives registries through a scripted
 // chaos schedule (crashes, partitions, reboots, placements, heartbeats)
-// and asserts after every round that (a) the delta-maintained aggregates
-// equal a from-scratch recompute and (b) every placer's sharded PlaceReg
-// decision equals its full-rescan Place on the same states — across shard
-// sizes from one node per shard to one shard for the whole fleet.
+// and asserts after every round that (a) the delta-maintained hot count
+// and the shard-bounded capacity check equal a from-scratch recompute
+// and (b) every placer's sharded Place decision equals its flat
+// reference on the same states — across shard sizes from one node per
+// shard to one shard for the whole fleet.
 func TestRegistryAggregatesDifferential(t *testing.T) {
 	const nNodes = 77
 	for _, shardSize := range []int{1, 5, 32, 4096} {
@@ -114,16 +100,9 @@ func TestRegistryAggregatesDifferential(t *testing.T) {
 			for m := 0; m < 10; m++ {
 				chaosMutate(g, &rng, rng.intn(nNodes))
 			}
-			free, hot, suspect, dead, minTrend := refAggregates(g.States())
-			if g.FreeThreads() != free || g.HotNodes() != hot ||
-				g.SuspectNodes() != suspect || g.DeadNodes() != dead {
-				t.Fatalf("shard %d round %d: aggregates (free %d hot %d suspect %d dead %d) != reference (%d %d %d %d)",
-					shardSize, round, g.FreeThreads(), g.HotNodes(), g.SuspectNodes(), g.DeadNodes(),
-					free, hot, suspect, dead)
-			}
-			if g.MinTrendVPI() != minTrend {
-				t.Fatalf("shard %d round %d: min trend %g != reference %g",
-					shardSize, round, g.MinTrendVPI(), minTrend)
+			if hot := refHot(g.States()); g.HotNodes() != hot {
+				t.Fatalf("shard %d round %d: hot count %d != reference %d",
+					shardSize, round, g.HotNodes(), hot)
 			}
 			for threads := 1; threads <= 20; threads += 6 {
 				req := PodRequest{Threads: threads}
@@ -133,16 +112,15 @@ func TestRegistryAggregatesDifferential(t *testing.T) {
 				}
 			}
 			for _, pl := range placers {
-				rp := pl.(registryPlacer)
 				for _, req := range []PodRequest{
 					{Threads: 1 + round%5},
 					{Threads: 2 + round%7, Guaranteed: true},
 					{Threads: 4},
 				} {
-					want := pl.Place(g.States(), req)
-					got := rp.PlaceReg(g, req)
+					want := pl.(flatPlacer).placeFlat(g.States(), req)
+					got := pl.Place(g, req)
 					if got != want {
-						t.Fatalf("shard %d round %d: %s PlaceReg(%+v) = %d, full rescan %d",
+						t.Fatalf("shard %d round %d: %s Place(%+v) = %d, flat reference %d",
 							shardSize, round, pl.Name(), req, got, want)
 					}
 				}
@@ -169,10 +147,7 @@ func TestAnyNodeCouldFitSkipsDead(t *testing.T) {
 	if !anyNodeCouldFit(states, PodRequest{Threads: 4}) {
 		t.Fatal("anyNodeCouldFit rejected a pod the live node could hold")
 	}
-	g := newRegistry(len(states), 2)
-	for i, st := range states {
-		g.Reset(i, st)
-	}
+	g := loadRegistry(states, 2)
 	if g.AnyNodeCouldFit(req) {
 		t.Fatal("Registry.AnyNodeCouldFit counted dead nodes as placeable capacity")
 	}

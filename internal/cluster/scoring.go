@@ -68,31 +68,14 @@ type ScoringPlacer struct{}
 // Name implements Placer.
 func (ScoringPlacer) Name() string { return PlacerScore }
 
-// Place implements Placer: the full-rescan reference — minimize
-// (nodeScore, ID) over all fitting nodes.
-func (ScoringPlacer) Place(states []NodeState, req PodRequest) int {
-	best := -1
-	var bestScore float64
-	for _, st := range states {
-		if !fits(st, req) {
-			continue
-		}
-		s := nodeScore(st, req.Guaranteed)
-		if best < 0 || s < bestScore || (s == bestScore && st.ID < best) {
-			best, bestScore = st.ID, s
-		}
-	}
-	return best
-}
-
-// PlaceReg implements registryPlacer: the same decision answered from the
-// sharded registry. Shards whose max free capacity cannot fit the request
+// Place implements Placer: minimize (nodeScore, ID) over all fitting
+// nodes, answered from the sharded registry. Shards whose max free capacity cannot fit the request
 // are skipped on their O(1) bound; in the rest, the pre-sorted candidate
 // order for the request's QoS class is walked until the first fitting
 // node — which, because the order is ascending (score, ID) and the score
 // is request-independent per class, is exactly that shard's best
 // candidate. The global winner is the best shard winner.
-func (ScoringPlacer) PlaceReg(g *Registry, req PodRequest) int {
+func (ScoringPlacer) Place(g *Registry, req PodRequest) int {
 	best := -1
 	var bestScore float64
 	for si := range g.shards {

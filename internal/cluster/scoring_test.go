@@ -6,7 +6,7 @@ func TestScoringSpreadsGuaranteed(t *testing.T) {
 	sts := mkStates([2]int{6, 0}, [2]int{0, 0}, [2]int{6, 0})
 	sts[0].TrendVPI = 10
 	sts[2].TrendVPI = 5
-	got := (ScoringPlacer{}).Place(sts, PodRequest{Guaranteed: true, Threads: 4})
+	got := placeChecked(t, ScoringPlacer{}, sts, PodRequest{Guaranteed: true, Threads: 4})
 	if got != 1 {
 		t.Fatalf("guaranteed pod placed on node %d, want 1 (empty, quiet)", got)
 	}
@@ -18,7 +18,7 @@ func TestScoringBackfillsLendableSiblings(t *testing.T) {
 	// the emptier node 0: lendable credit outweighs occupancy.
 	sts := mkStates([2]int{0, 0}, [2]int{2, 0})
 	sts[1].HB.Lendable = 4
-	got := (ScoringPlacer{}).Place(sts, PodRequest{Threads: 4})
+	got := placeChecked(t, ScoringPlacer{}, sts, PodRequest{Threads: 4})
 	if got != 1 {
 		t.Fatalf("besteffort pod placed on node %d, want 1 (lendable siblings)", got)
 	}
@@ -27,28 +27,28 @@ func TestScoringBackfillsLendableSiblings(t *testing.T) {
 func TestScoringAvoidsHotAndSuspectUnlessOnlyFit(t *testing.T) {
 	sts := mkStates([2]int{0, 0}, [2]int{8, 0})
 	sts[0].Hot = 2
-	if got := (ScoringPlacer{}).Place(sts, PodRequest{Threads: 4}); got != 1 {
+	if got := placeChecked(t, ScoringPlacer{}, sts, PodRequest{Threads: 4}); got != 1 {
 		t.Fatalf("besteffort pod placed on node %d, want 1 (node 0 hot)", got)
 	}
 	sts[0].Hot = 0
 	sts[0].Suspect = true
-	if got := (ScoringPlacer{}).Place(sts, PodRequest{Guaranteed: true, Threads: 4}); got != 1 {
+	if got := placeChecked(t, ScoringPlacer{}, sts, PodRequest{Guaranteed: true, Threads: 4}); got != 1 {
 		t.Fatalf("guaranteed pod placed on node %d, want 1 (node 0 suspect)", got)
 	}
 	// The penalties are cliffs, not gates: when only the hot/suspect node
 	// fits, placing still beats dropping.
 	sts[1].HB.ServiceThreads = 16
-	if got := (ScoringPlacer{}).Place(sts, PodRequest{Threads: 4}); got != 0 {
+	if got := placeChecked(t, ScoringPlacer{}, sts, PodRequest{Threads: 4}); got != 0 {
 		t.Fatalf("besteffort pod placed on node %d, want 0 (only fit)", got)
 	}
 }
 
 func TestScoringCapacityGate(t *testing.T) {
 	sts := mkStates([2]int{16, 0}, [2]int{14, 0})
-	if got := (ScoringPlacer{}).Place(sts, PodRequest{Threads: 4}); got != -1 {
+	if got := placeChecked(t, ScoringPlacer{}, sts, PodRequest{Threads: 4}); got != -1 {
 		t.Fatalf("placed an unfittable pod on node %d", got)
 	}
-	if got := (ScoringPlacer{}).Place(sts, PodRequest{Threads: 2}); got != 1 {
+	if got := placeChecked(t, ScoringPlacer{}, sts, PodRequest{Threads: 2}); got != 1 {
 		t.Fatalf("pod placed on node %d, want 1 (only fit)", got)
 	}
 }
@@ -56,7 +56,7 @@ func TestScoringCapacityGate(t *testing.T) {
 func TestScoringLowestIDTieBreak(t *testing.T) {
 	sts := mkStates([2]int{4, 0}, [2]int{4, 0}, [2]int{4, 0})
 	for _, req := range []PodRequest{{Threads: 4}, {Guaranteed: true, Threads: 4}} {
-		if got := (ScoringPlacer{}).Place(sts, req); got != 0 {
+		if got := placeChecked(t, ScoringPlacer{}, sts, req); got != 0 {
 			t.Fatalf("tie broken to node %d, want 0 (lowest ID), req %+v", got, req)
 		}
 	}
@@ -66,8 +66,8 @@ func TestScoringLowestIDTieBreak(t *testing.T) {
 // be explicit in the selection key, not an artifact of ascending scan
 // order, so shard-merged candidate selection cannot silently change
 // decisions. The registry here presents identical keys on every node; the
-// sharded path must agree with the full rescan on node 0 — including in
-// the avoid tier (all nodes hot/suspect).
+// sharded path must agree with the flat reference on node 0 at every
+// shard size — including in the avoid tier (all nodes hot/suspect).
 func TestVPIAwareExplicitIDTieBreak(t *testing.T) {
 	mk := func() []NodeState {
 		sts := mkStates([2]int{4, 0}, [2]int{4, 0}, [2]int{4, 0}, [2]int{4, 0})
@@ -77,26 +77,13 @@ func TestVPIAwareExplicitIDTieBreak(t *testing.T) {
 		}
 		return sts
 	}
-	load := func(sts []NodeState, shardSize int) *Registry {
-		g := newRegistry(len(sts), shardSize)
-		for i, st := range sts {
-			g.Reset(i, st)
-		}
-		return g
-	}
 	reqs := []PodRequest{{Threads: 4}, {Guaranteed: true, Threads: 4}}
 
 	// Best tier: all keys equal.
 	sts := mk()
 	for _, req := range reqs {
-		if got := (VPIAware{}).Place(sts, req); got != 0 {
+		if got := placeChecked(t, VPIAware{}, sts, req); got != 0 {
 			t.Fatalf("best-tier tie broken to node %d, want 0, req %+v", got, req)
-		}
-		for _, shardSize := range []int{1, 2, 4} {
-			if got := (VPIAware{}).PlaceReg(load(sts, shardSize), req); got != 0 {
-				t.Fatalf("sharded best-tier tie (shard %d) broken to node %d, want 0, req %+v",
-					shardSize, got, req)
-			}
 		}
 	}
 
@@ -108,14 +95,8 @@ func TestVPIAwareExplicitIDTieBreak(t *testing.T) {
 		sts[i].Hot = 2
 	}
 	for _, req := range reqs {
-		if got := (VPIAware{}).Place(sts, req); got != 0 {
+		if got := placeChecked(t, VPIAware{}, sts, req); got != 0 {
 			t.Fatalf("avoid-tier tie broken to node %d, want 0, req %+v", got, req)
-		}
-		for _, shardSize := range []int{1, 2, 4} {
-			if got := (VPIAware{}).PlaceReg(load(sts, shardSize), req); got != 0 {
-				t.Fatalf("sharded avoid-tier tie (shard %d) broken to node %d, want 0, req %+v",
-					shardSize, got, req)
-			}
 		}
 	}
 }

@@ -217,7 +217,7 @@ func (s Spec) Validate() error {
 		default:
 			return fmt.Errorf("cluster: service %s: unknown store %q", svc.Name, svc.Store)
 		}
-		if _, err := ycsb.ByName(defaultStr(svc.Workload, "a")); err != nil {
+		if _, err := ycsb.ByName(orDefault(svc.Workload, "a")); err != nil {
 			return fmt.Errorf("cluster: service %s: %w", svc.Name, err)
 		}
 		if svc.RPS <= 0 {
@@ -250,26 +250,20 @@ func (s Spec) Validate() error {
 // Defaulted accessors: zero values mean "use the reference setting", so a
 // hand-written JSON spec only states what it changes.
 
-func (s Spec) reservedCPUs() int {
-	if s.ReservedCPUs == 0 {
-		return 4
+// orDefault returns v, or d when v is the zero value.
+func orDefault[T comparable](v, d T) T {
+	var zero T
+	if v == zero {
+		return d
 	}
-	return s.ReservedCPUs
+	return v
 }
 
-func (s Spec) heartbeatNs() int64 {
-	if s.HeartbeatMs == 0 {
-		return 50_000_000
-	}
-	return s.HeartbeatMs * 1_000_000
-}
+func (s Spec) reservedCPUs() int  { return orDefault(s.ReservedCPUs, 4) }
+func (s Spec) heartbeatNs() int64 { return orDefault(s.HeartbeatMs, 50) * 1_000_000 }
 
-func (s Spec) sloNs() float64 {
-	if s.SLOUs == 0 {
-		return 200_000 // 200 µs, a few x the stores' uncontended p99
-	}
-	return s.SLOUs * 1e3
-}
+// sloNs defaults to 200 µs, a few x the stores' uncontended p99.
+func (s Spec) sloNs() float64 { return orDefault(s.SLOUs, 200) * 1e3 }
 
 // resilientTopology reports whether any replicated service runs the
 // request-path resilience layer — the gate for the "requests" SLO, so
@@ -286,33 +280,10 @@ func (s Spec) resilientTopology() bool {
 	return false
 }
 
-func (s Spec) evictVPI() float64 {
-	if s.EvictVPI == 0 {
-		return 25
-	}
-	return s.EvictVPI
-}
-
-func (s Spec) hotRounds() int {
-	if s.HotRounds == 0 {
-		return 2
-	}
-	return s.HotRounds
-}
-
-func (s Spec) maxEvictions() int {
-	if s.MaxEvictions == 0 {
-		return 2
-	}
-	return s.MaxEvictions
-}
-
-func (s Spec) placer() string {
-	if s.Placer == "" {
-		return PlacerVPI
-	}
-	return s.Placer
-}
+func (s Spec) evictVPI() float64 { return orDefault(s.EvictVPI, 25) }
+func (s Spec) hotRounds() int    { return orDefault(s.HotRounds, 2) }
+func (s Spec) maxEvictions() int { return orDefault(s.MaxEvictions, 2) }
+func (s Spec) placer() string    { return orDefault(s.Placer, PlacerVPI) }
 
 // lodAuto reports whether the run should fast-forward quiescent nodes.
 // A node-fault chaos schedule forces full fidelity: crash, partition and
@@ -321,19 +292,8 @@ func (s Spec) lodAuto() bool {
 	return s.LoD == LoDAuto && (s.Chaos == nil || !s.Chaos.Nodes.Enabled())
 }
 
-func (s Spec) suspectRounds() int {
-	if s.SuspectRounds == 0 {
-		return 3
-	}
-	return s.SuspectRounds
-}
-
-func (s Spec) deadRounds() int {
-	if s.DeadRounds == 0 {
-		return 6
-	}
-	return s.DeadRounds
-}
+func (s Spec) suspectRounds() int { return orDefault(s.SuspectRounds, 3) }
+func (s Spec) deadRounds() int    { return orDefault(s.DeadRounds, 6) }
 
 // rounds converts the warmup/duration seconds into heartbeat rounds.
 func (s Spec) rounds() (warmup, measure int) {
@@ -389,11 +349,4 @@ func batchKind(name string) (batch.Kind, error) {
 		}
 	}
 	return 0, fmt.Errorf("cluster: unknown batch kind %q", name)
-}
-
-func defaultStr(v, d string) string {
-	if v == "" {
-		return d
-	}
-	return v
 }

@@ -344,6 +344,17 @@ func (tc *trafficController) keepsReplica(name string, node int) bool {
 	return false
 }
 
+// retire unregisters a replica that left the fleet (detail says why),
+// folding its resolved counts into the service's retired totals.
+func (ts *trafficService) retire(tc *trafficController, rep *trafficReplica, r int, detail string) {
+	ts.retiredCompleted += rep.completedSeen
+	ts.retiredShed += rep.shedSeen
+	ts.retiredExpired += rep.expiredSeen
+	ts.bal.Remove(rep.name)
+	delete(ts.replicas, rep.name)
+	tc.tracer.replicaRetire(rep.name, r, rep.node, detail)
+}
+
 // present routes one presentation (a fresh arrival or a released retry)
 // through the breaker and the balancer, charging admission drops to the
 // attempt's failure account for retry detection.
@@ -428,12 +439,7 @@ func (tc *trafficController) nodeLost(i, r int) []*pendingPod {
 				}
 			}
 			ts.lost += rep.outstanding()
-			ts.retiredCompleted += rep.completedSeen
-			ts.retiredShed += rep.shedSeen
-			ts.retiredExpired += rep.expiredSeen
-			ts.bal.Remove(name)
-			delete(ts.replicas, name)
-			tc.tracer.replicaRetire(name, r, i, "node-lost")
+			ts.retire(tc, rep, r, "node-lost")
 		}
 		want := ts.spec.MinReplicas() - len(ts.replicas) - ts.pending
 		for k := 0; k < want; k++ {
@@ -485,16 +491,7 @@ func (tc *trafficController) postRound(r int, nodes []*Node, states []NodeState,
 			ts.bal.SetOutstanding(name, rep.outstanding())
 			lat := rep.ns.svc.Latencies()
 			q, bad := lat.Count(), lat.CountAbove(tc.sloNs)
-			dq, db := q-rep.prevQ, bad-rep.prevBad
-			if dq < 0 {
-				dq = 0
-			}
-			if db < 0 {
-				db = 0
-			}
-			if db > dq {
-				db = dq
-			}
+			dq, db := sliDelta(q, bad, rep.prevQ, rep.prevBad)
 			rep.prevQ, rep.prevBad = q, bad
 			if r >= tc.warmup {
 				if tc.roundSpike {
@@ -508,12 +505,7 @@ func (tc *trafficController) postRound(r int, nodes []*Node, states []NodeState,
 			// A draining replica with nothing in flight retires now.
 			if rep.draining && rep.outstanding() == 0 {
 				if err := rep.n.RetireReplica(name); err == nil {
-					ts.retiredCompleted += rep.completedSeen
-					ts.retiredShed += rep.shedSeen
-					ts.retiredExpired += rep.expiredSeen
-					ts.bal.Remove(name)
-					delete(ts.replicas, name)
-					tc.tracer.replicaRetire(name, r, rep.node, "scale-down")
+					ts.retire(tc, rep, r, "scale-down")
 				}
 			}
 		}

@@ -119,13 +119,10 @@ func TestTrafficFailoverAccounting(t *testing.T) {
 	}
 }
 
-// TestTrafficResilienceUnderFaults drives a resilient client stack
-// (deadlines, budgeted retries, breaker, shedding) through a combined
-// fault schedule — a node crash overlapping a heartbeat partition — and
-// requires the extended accounting identity to stay exact: arrivals =
-// completions + drops + shed + expired + lost + in-flight, with retries
-// tracked separately as amplification.
-func TestTrafficResilienceUnderFaults(t *testing.T) {
+// resilientFaultSpec is trafficSpec with the full resilience layer
+// (deadlines, budgeted retries, breaker, shedding) under a node crash
+// overlapping a heartbeat partition.
+func resilientFaultSpec() Spec {
 	spec := trafficSpec(120_000)
 	spec.Topology.Services[0].Resilience = &scenario.ResilienceSpec{
 		DeadlineMs:         40,
@@ -141,6 +138,17 @@ func TestTrafficResilienceUnderFaults(t *testing.T) {
 	sched.Nodes.Crashes = []faults.NodeCrash{{Node: 0, Round: 25, DownRounds: 20}}
 	sched.Nodes.Partitions = []faults.NodePartition{{Node: 1, Round: 30, Rounds: 6}}
 	spec.Chaos = &sched
+	return spec
+}
+
+// TestTrafficResilienceUnderFaults drives a resilient client stack
+// (deadlines, budgeted retries, breaker, shedding) through a combined
+// fault schedule — a node crash overlapping a heartbeat partition — and
+// requires the extended accounting identity to stay exact: arrivals =
+// completions + drops + shed + expired + lost + in-flight, with retries
+// tracked separately as amplification.
+func TestTrafficResilienceUnderFaults(t *testing.T) {
+	spec := resilientFaultSpec()
 	res, err := Run(spec, RunOptions{})
 	if err != nil {
 		t.Fatal(err)

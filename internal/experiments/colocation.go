@@ -23,10 +23,6 @@ import (
 	"github.com/holmes-colocation/holmes/internal/isolation"
 	"github.com/holmes-colocation/holmes/internal/kernel"
 	"github.com/holmes-colocation/holmes/internal/kvstore"
-	"github.com/holmes-colocation/holmes/internal/kvstore/memcached"
-	"github.com/holmes-colocation/holmes/internal/kvstore/redis"
-	"github.com/holmes-colocation/holmes/internal/kvstore/rocksdb"
-	"github.com/holmes-colocation/holmes/internal/kvstore/wiredtiger"
 	"github.com/holmes-colocation/holmes/internal/lcservice"
 	"github.com/holmes-colocation/holmes/internal/machine"
 	"github.com/holmes-colocation/holmes/internal/perf"
@@ -159,28 +155,6 @@ type ColocationResult struct {
 	BatchMemBytes   int64
 }
 
-// newStore constructs a named store sized for the run.
-func newStore(name string, seed uint64) (kvstore.Store, error) {
-	switch name {
-	case "redis":
-		cfg := redis.DefaultConfig()
-		cfg.Seed = seed
-		return redis.New(cfg), nil
-	case "memcached":
-		cfg := memcached.DefaultConfig()
-		return memcached.New(cfg), nil
-	case "rocksdb":
-		cfg := rocksdb.DefaultConfig()
-		cfg.Seed = seed
-		return rocksdb.New(cfg), nil
-	case "wiredtiger":
-		cfg := wiredtiger.DefaultConfig()
-		cfg.Seed = seed
-		return wiredtiger.New(cfg), nil
-	}
-	return nil, fmt.Errorf("experiments: unknown store %q", name)
-}
-
 // batchJobSpec returns the compressed batch job rotation: the HiBench mix
 // the evaluation submits continuously.
 func batchJobSpec(i int) batch.Spec {
@@ -221,7 +195,7 @@ func RunColocation(cfg ColocationConfig) (*ColocationResult, error) {
 	}
 
 	// The latency-critical service.
-	store, err := newStore(cfg.Store, cfg.Seed)
+	store, err := lcservice.NewStore(cfg.Store, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

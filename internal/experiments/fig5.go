@@ -51,7 +51,7 @@ func fig5Run(store string, proberRPS float64, durationNs int64, seed uint64) (fl
 	m := machine.New(mcfg)
 	k := kernel.New(m)
 
-	st, err := newStore(store, seed)
+	st, err := lcservice.NewStore(store, seed)
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -55,10 +55,10 @@ func TestDecodeRecordCorrupt(t *testing.T) {
 	for _, buf := range [][]byte{
 		nil,
 		{},
-		{0x05},                  // key length but no key
-		{0x05, 'a', 'b'},        // truncated key
-		{0x01, 'k'},             // missing value prefix
-		{0x01, 'k', 0x09, 'v'},  // truncated value
+		{0x05},                 // key length but no key
+		{0x05, 'a', 'b'},       // truncated key
+		{0x01, 'k'},            // missing value prefix
+		{0x01, 'k', 0x09, 'v'}, // truncated value
 		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, // huge length
 		{0x80}, // unterminated varint
 	} {

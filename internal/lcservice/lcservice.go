@@ -16,6 +16,10 @@ import (
 
 	"github.com/holmes-colocation/holmes/internal/kernel"
 	"github.com/holmes-colocation/holmes/internal/kvstore"
+	"github.com/holmes-colocation/holmes/internal/kvstore/memcached"
+	"github.com/holmes-colocation/holmes/internal/kvstore/redis"
+	"github.com/holmes-colocation/holmes/internal/kvstore/rocksdb"
+	"github.com/holmes-colocation/holmes/internal/kvstore/wiredtiger"
 	"github.com/holmes-colocation/holmes/internal/machine"
 	"github.com/holmes-colocation/holmes/internal/stats"
 	"github.com/holmes-colocation/holmes/internal/workload"
@@ -62,6 +66,28 @@ func DefaultConfigFor(storeName string) Config {
 	default: // rocksdb, wiredtiger
 		return Config{Workers: 4, BackgroundWorkers: 2, PerRequestOverhead: DefaultOverhead()}
 	}
+}
+
+// NewStore constructs the named store under its default configuration;
+// seed drives the stores with randomized internals (all but memcached).
+func NewStore(name string, seed uint64) (kvstore.Store, error) {
+	switch name {
+	case "redis":
+		cfg := redis.DefaultConfig()
+		cfg.Seed = seed
+		return redis.New(cfg), nil
+	case "memcached":
+		return memcached.New(memcached.DefaultConfig()), nil
+	case "rocksdb":
+		cfg := rocksdb.DefaultConfig()
+		cfg.Seed = seed
+		return rocksdb.New(cfg), nil
+	case "wiredtiger":
+		cfg := wiredtiger.DefaultConfig()
+		cfg.Seed = seed
+		return wiredtiger.New(cfg), nil
+	}
+	return nil, fmt.Errorf("lcservice: unknown store %q", name)
 }
 
 // Service is a running latency-critical service.

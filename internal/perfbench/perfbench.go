@@ -121,9 +121,7 @@ type TrafficBenchResult struct {
 // fleet that is otherwise quiescent, so rounds/sec vs node count tracks
 // how the sharded registry and level-of-detail fast-forward amortize the
 // idle majority. Mode "sharded-lod" is the production path (scoring
-// placer over shard aggregates, LoD auto); "full-rescan" is the naive
-// baseline (full-fleet placement scans, unconditional reconcile sweeps,
-// every node at full fidelity) that produces identical results.
+// placer over shard aggregates, LoD auto).
 type ScaleBenchResult struct {
 	Nodes        int     `json:"nodes"`
 	Mode         string  `json:"mode"`
@@ -135,20 +133,17 @@ type ScaleBenchResult struct {
 
 // Report is the full BENCH_tick.json payload.
 type Report struct {
-	Schema     string             `json:"schema"`
-	GoVersion  string             `json:"go_version"`
-	Scenarios  []TickResult       `json:"scenarios"`
-	Traffic    TrafficBenchResult `json:"traffic"`
+	Schema    string             `json:"schema"`
+	GoVersion string             `json:"go_version"`
+	Scenarios []TickResult       `json:"scenarios"`
+	Traffic   TrafficBenchResult `json:"traffic"`
 	// TrafficResilience is the same control plane with the request-path
 	// resilience layer attached; the delta against Traffic is the layer's
 	// bookkeeping cost.
 	TrafficResilience TrafficBenchResult `json:"traffic_resilience"`
-	// Scale is the rounds/sec-vs-fleet-size trajectory plus the naive
-	// full-rescan baseline at the largest size; ScaleSpeedup is the
-	// sharded+LoD throughput over that baseline at equal node count.
-	Scale        []ScaleBenchResult `json:"scale"`
-	ScaleSpeedup float64            `json:"scale_speedup"`
-	Experiment   ExperimentResult   `json:"experiment"`
+	// Scale is the rounds/sec-vs-fleet-size trajectory.
+	Scale      []ScaleBenchResult `json:"scale"`
+	Experiment ExperimentResult   `json:"experiment"`
 }
 
 // buildIdle constructs the idle-heavy scenario: kernel installed, one
@@ -357,8 +352,8 @@ func runTrafficBench(seed uint64, rz *scenario.ResilienceSpec) (TrafficBenchResu
 
 // RunScaleBench measures one point of the node-count scaling trajectory:
 // the same busy set at every fleet size, serial workers so the number is
-// per-round control-plane cost. naive selects the full-rescan baseline.
-func RunScaleBench(nodes int, naive bool, seed uint64) (ScaleBenchResult, error) {
+// per-round control-plane cost.
+func RunScaleBench(nodes int, seed uint64) (ScaleBenchResult, error) {
 	spec := cluster.DefaultSpec()
 	spec.Name = "scalebench"
 	spec.Nodes = nodes
@@ -376,16 +371,10 @@ func RunScaleBench(nodes int, naive bool, seed uint64) (ScaleBenchResult, error)
 	}
 	spec.Batch = cluster.BatchStream{Pods: 8, PodsPerRound: 4, Containers: 1,
 		ThreadsPerContainer: 2, WorkUnitsPerThread: 300}
-	mode := "sharded-lod"
-	opt := cluster.RunOptions{Workers: 1}
-	if naive {
-		mode = "full-rescan"
-		spec.LoD = cluster.LoDFull
-		opt.FullRescan = true
-	}
+	const mode = "sharded-lod"
 
 	start := time.Now()
-	res, err := cluster.Run(spec, opt)
+	res, err := cluster.Run(spec, cluster.RunOptions{Workers: 1})
 	if err != nil {
 		return ScaleBenchResult{}, fmt.Errorf("perfbench: scale %d/%s: %w", nodes, mode, err)
 	}
@@ -488,19 +477,11 @@ func Collect(o Options) (*Report, error) {
 	r.TrafficResilience = resilient
 
 	for _, nodes := range []int{16, 64, 256} {
-		sb, err := RunScaleBench(nodes, false, o.Seed)
+		sb, err := RunScaleBench(nodes, o.Seed)
 		if err != nil {
 			return nil, err
 		}
 		r.Scale = append(r.Scale, sb)
-	}
-	naive, err := RunScaleBench(256, true, o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	r.Scale = append(r.Scale, naive)
-	if naive.RoundsPerSec > 0 {
-		r.ScaleSpeedup = r.Scale[2].RoundsPerSec / naive.RoundsPerSec
 	}
 
 	opts := experiments.Options{Seed: o.Seed, Scale: o.ExperimentScale, Parallel: 1}
@@ -540,10 +521,6 @@ func (r *Report) Render() string {
 	for _, s := range r.Scale {
 		fmt.Fprintf(&b, "  %-18s %8.1f ms wall  %6.1f rounds/s  %8d lod skips (%d nodes, %s)\n",
 			"scale-bench", s.WallMs, s.RoundsPerSec, s.LoDSkips, s.Nodes, s.Mode)
-	}
-	if r.ScaleSpeedup > 0 {
-		fmt.Fprintf(&b, "  %-18s %8.1fx rounds/s, sharded-lod vs full-rescan at 256 nodes\n",
-			"scale-speedup", r.ScaleSpeedup)
 	}
 	fmt.Fprintf(&b, "  %-18s %8.1f ms wall (scale %g)\n",
 		"experiment "+r.Experiment.ID, r.Experiment.WallMs, r.Experiment.Scale)

@@ -20,10 +20,6 @@ import (
 	"github.com/holmes-colocation/holmes/internal/isolation"
 	"github.com/holmes-colocation/holmes/internal/kernel"
 	"github.com/holmes-colocation/holmes/internal/kvstore"
-	"github.com/holmes-colocation/holmes/internal/kvstore/memcached"
-	"github.com/holmes-colocation/holmes/internal/kvstore/redis"
-	"github.com/holmes-colocation/holmes/internal/kvstore/rocksdb"
-	"github.com/holmes-colocation/holmes/internal/kvstore/wiredtiger"
 	"github.com/holmes-colocation/holmes/internal/lcservice"
 	"github.com/holmes-colocation/holmes/internal/machine"
 	"github.com/holmes-colocation/holmes/internal/stats"
@@ -202,7 +198,7 @@ func Run(spec Spec) (*Report, error) {
 	}
 	var services []running
 	for i, ss := range spec.Services {
-		store, err := newStore(ss.Store, mcfg.Seed+uint64(i))
+		store, err := lcservice.NewStore(ss.Store, mcfg.Seed+uint64(i))
 		if err != nil {
 			return nil, err
 		}
@@ -408,28 +404,6 @@ func defaultInt(v, d int) int {
 		return d
 	}
 	return v
-}
-
-// newStore mirrors the experiments constructor (kept local so scenario
-// does not depend on the experiments package).
-func newStore(name string, seed uint64) (kvstore.Store, error) {
-	switch name {
-	case "redis":
-		cfg := redis.DefaultConfig()
-		cfg.Seed = seed
-		return redis.New(cfg), nil
-	case "memcached":
-		return memcached.New(memcached.DefaultConfig()), nil
-	case "rocksdb":
-		cfg := rocksdb.DefaultConfig()
-		cfg.Seed = seed
-		return rocksdb.New(cfg), nil
-	case "wiredtiger":
-		cfg := wiredtiger.DefaultConfig()
-		cfg.Seed = seed
-		return wiredtiger.New(cfg), nil
-	}
-	return nil, fmt.Errorf("scenario: unknown store %q", name)
 }
 
 // Render prints the report.

@@ -444,18 +444,18 @@ func (r ResilienceSpec) BudgetWindow() int {
 // balancer's admission window.
 func StormResilience() *ResilienceSpec {
 	return &ResilienceSpec{
-		DeadlineMs:         60,
-		MaxAttempts:        3,
-		RetryBackoffRounds: 1,
-		RetryJitterRounds:  2,
-		RetryBudget:        0.1,
-		BudgetWindowRounds: 20,
-		BreakerFailureRate: 0.5,
+		DeadlineMs:          60,
+		MaxAttempts:         3,
+		RetryBackoffRounds:  1,
+		RetryJitterRounds:   2,
+		RetryBudget:         0.1,
+		BudgetWindowRounds:  20,
+		BreakerFailureRate:  0.5,
 		BreakerWindowRounds: 4,
-		BreakerMinVolume:   100,
-		BreakerOpenRounds:  8,
-		BreakerProbes:      16,
-		ConcurrencyLimit:   128,
+		BreakerMinVolume:    100,
+		BreakerOpenRounds:   8,
+		BreakerProbes:       16,
+		ConcurrencyLimit:    128,
 	}
 }
 
