@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build check batch-equiv cluster-smoke chaos-smoke traffic-smoke storm-smoke scale-smoke fuzz-smoke bench-smoke obs-smoke test test-short vet bench bench-experiments report examples clean
+.PHONY: all build check batch-equiv cluster-smoke chaos-smoke traffic-smoke storm-smoke scale-smoke fuzz-smoke bench-test obs-smoke test test-short vet bench bench-experiments report examples clean
 
 all: build vet test
 
@@ -96,12 +96,13 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzChaosSpec -fuzztime=10s ./internal/faults
 	$(GO) test -run=^$$ -fuzz=FuzzIntervalEquivalence -fuzztime=15s ./internal/machine/equiv
 
-# Tick-engine performance trajectory: runs the perfbench scenarios and
-# regenerates BENCH_tick.json (machine ticks/sec, ns/tick, allocs/tick,
-# end-to-end experiment wall time). CI uploads the file as an artifact so
-# every commit carries its measured numbers.
-bench-smoke:
-	$(GO) run ./cmd/holmes-bench -perf -perf-out BENCH_tick.json
+# The benchmark harness under bench/ is its own Go module, so the root
+# `go test ./...` skips it. This runs its tests (stats helpers, workload
+# smoke runs, and the check that its hand-composed node matches
+# experiments.RunColocation) with bench/run.sh's environment: local
+# toolchain, no module proxy, no workspace.
+bench-test:
+	cd bench && GOTOOLCHAIN=local GOPROXY=off GOWORK=off $(GO) test ./...
 
 # Observability smoke: the Chrome-trace schema check and golden span-tree
 # test, then a small traced cluster run that exports the span timeline,

@@ -16,7 +16,6 @@ import (
 
 	"github.com/holmes-colocation/holmes/internal/experiments"
 	"github.com/holmes-colocation/holmes/internal/hpe"
-	"github.com/holmes-colocation/holmes/internal/perfbench"
 )
 
 // benchSuite shares the co-location matrix across the Fig. 7-12/Table 3
@@ -225,41 +224,5 @@ func BenchmarkOverhead(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(100*r.DaemonCPUFrac, "daemon-cpu-%")
-	}
-}
-
-// BenchmarkTickEngineIdle and BenchmarkTickEngineLoaded track the tick
-// engine's hot-path trajectory — the same scenarios `holmes-bench -perf`
-// pins into BENCH_tick.json — so `go test -bench=TickEngine .` compares
-// a working tree against the recorded numbers.
-func BenchmarkTickEngineIdle(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := perfbench.RunIdle(500_000_000, 1)
-		b.ReportMetric(r.TicksPerSec/1e6, "Mticks/s")
-		b.ReportMetric(r.NsPerTick, "ns/tick")
-		b.ReportMetric(r.AllocsPerTick, "allocs/tick")
-	}
-}
-
-func BenchmarkTickEngineLoaded(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := perfbench.RunLoaded(250_000_000, 1)
-		b.ReportMetric(r.TicksPerSec/1e6, "Mticks/s")
-		b.ReportMetric(r.NsPerTick, "ns/tick")
-		b.ReportMetric(r.AllocsPerTick, "allocs/tick")
-	}
-}
-
-// BenchmarkTrafficEngine measures the open-loop traffic control plane end
-// to end: a 3-node cluster under the default diurnal topology, reported
-// as control-plane rounds and dispatched arrivals per wall second.
-func BenchmarkTrafficEngine(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := perfbench.RunTrafficBench(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.RoundsPerSec, "rounds/s")
-		b.ReportMetric(r.ArrivalsPerSec, "arrivals/s")
 	}
 }

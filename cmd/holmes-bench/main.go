@@ -26,7 +26,6 @@ import (
 
 	"github.com/holmes-colocation/holmes/internal/experiments"
 	"github.com/holmes-colocation/holmes/internal/machine"
-	"github.com/holmes-colocation/holmes/internal/perfbench"
 	"github.com/holmes-colocation/holmes/internal/runner"
 	"github.com/holmes-colocation/holmes/internal/telemetry"
 )
@@ -45,8 +44,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	outDir := fs.String("o", "", "also write each experiment's output to <dir>/<id>.txt")
 	telemetryOut := fs.String("telemetry-out", "", "stream scheduler decision events to this JSONL file")
 	traceOut := fs.String("trace-out", "", "write recorded daemon spans to this file (.jsonl = one span per line, otherwise Chrome trace-event JSON)")
-	perfMode := fs.Bool("perf", false, "benchmark the tick engine and write BENCH_tick.json")
-	perfOut := fs.String("perf-out", "BENCH_tick.json", "output path for -perf")
 	noBatch := fs.Bool("no-interval-batch", false,
 		"disable the interval-batched loaded path (escape hatch; output is bit-identical either way)")
 	fs.Usage = func() { usage(stderr) }
@@ -63,20 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *parallel < 1 {
 		return fail("-parallel %d must be at least 1", *parallel)
-	}
-	if *perfMode {
-		// The perf scenarios time the bare tick engine; attaching the
-		// observability sinks would measure the recorder, not the engine.
-		if *telemetryOut != "" {
-			return fail("-perf is incompatible with -telemetry-out (the benchmark measures the bare tick engine)")
-		}
-		if *traceOut != "" {
-			return fail("-perf is incompatible with -trace-out (the benchmark measures the bare tick engine)")
-		}
-		if err := runPerf(stdout, *perfOut, *seed); err != nil {
-			return fail("%v", err)
-		}
-		return 0
 	}
 	rest := fs.Args()
 	if len(rest) == 0 {
@@ -192,31 +175,6 @@ func writeSpans(path string, spans []telemetry.Span) error {
 	return f.Close()
 }
 
-// runPerf measures the tick-engine scenarios and writes the JSON report,
-// printing the human-readable block to stdout.
-func runPerf(stdout io.Writer, path string, seed uint64) error {
-	opts := perfbench.Quick()
-	opts.Seed = seed
-	rep, err := perfbench.Collect(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(stdout, rep.Render())
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintln(stdout, "wrote", path)
-	return nil
-}
-
 func usage(w io.Writer) {
 	fmt.Fprintf(w, `holmes-bench regenerates the tables and figures of
 "Holmes: SMT Interference Diagnosis and CPU Scheduling for Job Co-location" (HPDC'22).
@@ -242,8 +200,6 @@ Flags:
   -trace-out FILE      write recorded daemon spans to FILE (.jsonl = one
                        span per line, otherwise Chrome trace-event JSON
                        loadable in Perfetto / chrome://tracing)
-  -perf                benchmark the tick engine instead of running experiments
-  -perf-out FILE       where -perf writes its JSON report (default BENCH_tick.json)
   -no-interval-batch   disable the interval-batched loaded simulation path
                        (escape hatch; output is bit-identical either way)
 `)

@@ -12,30 +12,6 @@ func runCLI(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
-func TestPerfIncompatibleWithObservabilityOutputs(t *testing.T) {
-	cases := []struct {
-		name string
-		args []string
-		want string
-	}{
-		{"telemetry-out", []string{"-perf", "-telemetry-out", "events.jsonl"},
-			"-perf is incompatible with -telemetry-out"},
-		{"trace-out", []string{"-perf", "-trace-out", "trace.json"},
-			"-perf is incompatible with -trace-out"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			code, _, stderr := runCLI(tc.args...)
-			if code == 0 {
-				t.Fatalf("run(%v) accepted incompatible flags", tc.args)
-			}
-			if !strings.Contains(stderr, tc.want) {
-				t.Fatalf("stderr %q does not mention %q", stderr, tc.want)
-			}
-		})
-	}
-}
-
 func TestZeroParallelFails(t *testing.T) {
 	code, _, stderr := runCLI("-parallel", "0", "fig3")
 	if code == 0 {

@@ -346,7 +346,7 @@ func (d *Daemon) tick(nowNs int64) {
 
 	// Algorithm 2, lines 1-16: per-LC-CPU sibling control by the
 	// interference signal (VPI for Holmes; raw usage for the ablation).
-	for _, lc := range d.reserved.CPUs() {
+	for lc := d.reserved.Next(0); lc >= 0; lc = d.reserved.Next(lc + 1) {
 		vpi, usage := d.mon.VPI(lc), d.mon.Usage(lc)
 		d.tel.observe(d.tel.lcVPI, vpi)
 		if sampleTick {
@@ -443,6 +443,18 @@ func (d *Daemon) chargeOverhead() {
 // reapExitedLC implements the LC half of Algorithm 3: when a registered
 // service exits, its siblings return to batch jobs.
 func (d *Daemon) reapExitedLC() {
+	// The common tick has nothing to reap: check without building the
+	// sorted pid list, which only fixes the order of the exit events.
+	exited := false
+	for _, p := range d.lcPids {
+		if p.Exited() {
+			exited = true
+			break
+		}
+	}
+	if !exited {
+		return
+	}
 	changed := false
 	for _, pid := range d.sortedLCPids() {
 		if p := d.lcPids[pid]; p.Exited() {
@@ -474,14 +486,14 @@ func (d *Daemon) reapExitedLC() {
 // usage exceeds T. The chosen CPU is never a sibling of a current LC CPU;
 // batch jobs are evicted from it (and its sibling starts blocked).
 func (d *Daemon) expandIfNeeded(nowNs int64) bool {
-	cpus := d.reserved.CPUs()
 	var usage float64
-	for _, lc := range cpus {
+	for lc := d.reserved.Next(0); lc >= 0; lc = d.reserved.Next(lc + 1) {
 		usage += d.mon.SmoothedUsage(lc)
 	}
-	if usage <= d.cfg.T*float64(len(cpus)) {
+	if usage <= d.cfg.T*float64(d.reserved.Count()) {
 		return false
 	}
+	cpus := d.reserved.CPUs()
 	// Capacity beyond the services' live thread count serves nothing:
 	// §4.2's thread-to-processor monitoring bounds useful growth (the
 	// paper expands "until the capacity is enough to serve the

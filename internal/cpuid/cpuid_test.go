@@ -136,6 +136,35 @@ func TestMaskFirstEmpty(t *testing.T) {
 	}
 }
 
+// TestMaskNextMatchesCPUs checks that the allocation-free Next walk
+// visits exactly CPUs(), in order, across word boundaries.
+func TestMaskNextMatchesCPUs(t *testing.T) {
+	f := func(a, b, c, d uint64) bool {
+		m := Mask{bits: [4]uint64{a, b, c, d}}
+		var walked []int
+		for cpu := m.Next(0); cpu >= 0; cpu = m.Next(cpu + 1) {
+			walked = append(walked, cpu)
+		}
+		want := m.CPUs()
+		if len(walked) != len(want) {
+			return false
+		}
+		for i := range want {
+			if walked[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	m := MaskOf(0, 63, 64, 255)
+	if m.Next(-5) != 0 || m.Next(1) != 63 || m.Next(65) != 255 || m.Next(256) != -1 {
+		t.Fatal("Next edge cases")
+	}
+}
+
 func TestFullMask(t *testing.T) {
 	m := FullMask(32)
 	if m.Count() != 32 || !m.Has(31) || m.Has(32) {

@@ -107,6 +107,25 @@ func (m Mask) CPUs() []int {
 	return out
 }
 
+// Next returns the lowest CPU in the mask at or above c, or -1 if there
+// is none. The loop `for c := m.Next(0); c >= 0; c = m.Next(c + 1)`
+// visits the CPUs in CPUs order without allocating.
+func (m Mask) Next(c int) int {
+	if c < 0 {
+		c = 0
+	}
+	for w := c / 64; w < len(m.bits); w++ {
+		word := m.bits[w]
+		if w == c/64 {
+			word &^= 1<<(uint(c)%64) - 1
+		}
+		if word != 0 {
+			return w*64 + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
+}
+
 // First returns the lowest CPU in the mask, or -1 if empty.
 func (m Mask) First() int {
 	for w := 0; w < len(m.bits); w++ {

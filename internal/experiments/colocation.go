@@ -15,22 +15,14 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/holmes-colocation/holmes/internal/batch"
-	"github.com/holmes-colocation/holmes/internal/cgroupfs"
 	"github.com/holmes-colocation/holmes/internal/core"
-	"github.com/holmes-colocation/holmes/internal/cpuid"
 	"github.com/holmes-colocation/holmes/internal/hpe"
-	"github.com/holmes-colocation/holmes/internal/isolation"
-	"github.com/holmes-colocation/holmes/internal/kernel"
 	"github.com/holmes-colocation/holmes/internal/kvstore"
-	"github.com/holmes-colocation/holmes/internal/lcservice"
-	"github.com/holmes-colocation/holmes/internal/machine"
 	"github.com/holmes-colocation/holmes/internal/perf"
+	"github.com/holmes-colocation/holmes/internal/scenario"
 	"github.com/holmes-colocation/holmes/internal/stats"
 	"github.com/holmes-colocation/holmes/internal/telemetry"
 	"github.com/holmes-colocation/holmes/internal/trace"
-	"github.com/holmes-colocation/holmes/internal/yarn"
-	"github.com/holmes-colocation/holmes/internal/ycsb"
 )
 
 // Setting is one of the three evaluation configurations of §6.1.
@@ -84,8 +76,6 @@ type ColocationConfig struct {
 	// VPISampleNs > 0 records the average VPI across the LC CPUs into
 	// VPISeries at this period (Fig. 13).
 	VPISampleNs int64
-	// TickNs overrides the simulation tick (0 = 10 µs).
-	TickNs int64
 	// Telemetry, when non-nil, receives metrics and decision events from
 	// the daemon, the kernel and the cgroup filesystem for the whole run.
 	Telemetry *telemetry.Set
@@ -155,145 +145,61 @@ type ColocationResult struct {
 	BatchMemBytes   int64
 }
 
-// batchJobSpec returns the compressed batch job rotation: the HiBench mix
-// the evaluation submits continuously.
-func batchJobSpec(i int) batch.Spec {
-	kinds := []batch.Kind{batch.KMeans, batch.Sort, batch.WordCount, batch.PageRank}
-	return batch.Spec{
-		Kind:                kinds[i%len(kinds)],
-		Containers:          4,
-		ThreadsPerContainer: 2,
-		WorkUnitsPerThread:  1200, // ~2-4 s per job under contention
-		MemoryBytes:         4 << 30,
+// colocationSpec translates a run into the one-service scenario that
+// builds its node: bursts of 6-9 s separated by 0.5-1 s gaps, and, under
+// co-location, a continuous HiBench stream of 4-container jobs.
+func colocationSpec(cfg ColocationConfig) (scenario.Spec, error) {
+	spec := scenario.Spec{
+		Services: []scenario.ServiceSpec{{
+			Store: cfg.Store, Workload: cfg.Workload, RecordCount: cfg.RecordCount, RPS: cfg.RPS,
+			BurstSeconds: [2]float64{6, 9}, GapSeconds: [2]float64{0.5, 1},
+		}},
+		WarmupSeconds:   float64(cfg.WarmupNs) / 1e9,
+		DurationSeconds: float64(cfg.DurationNs) / 1e9,
+		Seed:            cfg.Seed,
 	}
+	switch cfg.Setting {
+	case Alone:
+		spec.Scheduler = "none"
+		return spec, nil
+	case Holmes, PerfIso:
+		spec.Scheduler = string(cfg.Setting)
+	default:
+		return spec, fmt.Errorf("experiments: unknown setting %q", cfg.Setting)
+	}
+	spec.Batch = &scenario.BatchSpec{
+		Kinds:      []string{"kmeans", "sort", "wordcount", "pagerank"},
+		Continuous: true,
+	}
+	return spec, nil
 }
 
-// RunColocation executes one co-location run.
+// RunColocation executes one co-location run on a scenario node. What
+// it adds to the scenario's window is its own: the Fig. 13 VPI observer,
+// the reserved CPUs' utilisation, telemetry run labels, and the store
+// and batch memory.
 func RunColocation(cfg ColocationConfig) (*ColocationResult, error) {
 	if cfg.RPS == 0 {
 		cfg.RPS = defaultRPS(cfg.Store, cfg.Workload)
 	}
-	wl, err := ycsb.ByName(cfg.Workload)
+	spec, err := colocationSpec(cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	mcfg := machine.DefaultConfig() // 16 cores, 32 logical CPUs
-	mcfg.Seed = cfg.Seed
-	if cfg.TickNs > 0 {
-		mcfg.TickNs = cfg.TickNs
-	}
-	m := machine.New(mcfg)
-	k := kernel.New(m)
-	fs := cgroupfs.NewFS()
 	if cfg.Telemetry != nil {
-		k.SetTelemetry(cfg.Telemetry)
-		fs.SetTelemetry(cfg.Telemetry)
 		cfg.Telemetry.PublishInfo("run.store", cfg.Store)
 		cfg.Telemetry.PublishInfo("run.workload", cfg.Workload)
 		cfg.Telemetry.PublishInfo("run.setting", string(cfg.Setting))
 	}
-
-	// The latency-critical service.
-	store, err := lcservice.NewStore(cfg.Store, cfg.Seed)
+	node, err := scenario.Boot(spec, cfg.Telemetry, cfg.HolmesConfig)
 	if err != nil {
 		return nil, err
 	}
-	svcCfg := lcservice.DefaultConfigFor(cfg.Store)
-	svc := lcservice.Launch(k, store, svcCfg)
-	genCfg := ycsb.DefaultConfig(wl)
-	genCfg.RecordCount = cfg.RecordCount
-	genCfg.Seed = cfg.Seed + 17
-	gen := ycsb.NewGenerator(genCfg)
-	svc.Load(gen)
+	defer node.Stop()
+	m, reserved := node.Machine, node.Reserved
 
-	reserved := cpuid.MaskOf(0, 1, 2, 3)
-	nonReserved := cpuid.FullMask(mcfg.Topology.LogicalCPUs()).Subtract(reserved)
-
-	// Setting-specific control plane.
-	var holmesd *core.Daemon
-	var perfiso *isolation.PerfIso
-	switch cfg.Setting {
-	case Alone:
-		if err := svc.Process().SetAffinity(reserved); err != nil {
-			return nil, err
-		}
-	case Holmes:
-		hc := core.DefaultConfig()
-		if cfg.HolmesConfig != nil {
-			hc = *cfg.HolmesConfig
-		} else {
-			hc.SNs = 500_000_000 // compressed quiet period (S)
-		}
-		hc.DaemonCPU = mcfg.Topology.LogicalCPUs() - 1
-		hc.Telemetry = cfg.Telemetry
-		holmesd, err = core.Start(k, fs, hc)
-		if err != nil {
-			return nil, err
-		}
-		if err := holmesd.RegisterLC(svc.PID()); err != nil {
-			return nil, err
-		}
-	case PerfIso:
-		pc := isolation.DefaultPerfIsoConfig()
-		perfiso, err = isolation.StartPerfIso(k, fs, pc)
-		if err != nil {
-			return nil, err
-		}
-		if err := perfiso.RegisterLC(svc.PID()); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("experiments: unknown setting %q", cfg.Setting)
-	}
-
-	// Batch jobs under the co-location settings.
-	var nm *yarn.NodeManager
-	if cfg.Setting != Alone {
-		nm = yarn.NewNodeManager(k, fs, nonReserved)
-		jobIdx := 0
-		nm.Refill = func() *batch.Spec {
-			s := batchJobSpec(jobIdx)
-			jobIdx++
-			return &s
-		}
-		for i := 0; i < 6; i++ {
-			s := batchJobSpec(jobIdx)
-			jobIdx++
-			if err := nm.Submit(s); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Client traffic: 10x-compressed bursts.
-	tr := ycsb.NewTraffic(6e9, 9e9, 5e8, 1e9, cfg.RPS, cfg.Seed+29)
-	client := lcservice.NewClient(svc, gen, tr)
-	client.Start()
-
-	// Warm up, then reset measurements.
-	m.RunFor(cfg.WarmupNs)
-	svc.ResetLatencies()
-	var busyBase float64
-	var lcBase float64
-	n := mcfg.Topology.LogicalCPUs()
-	for p := 0; p < n; p++ {
-		busyBase += m.BusyCycles(p)
-	}
-	for _, p := range reserved.CPUs() {
-		lcBase += m.BusyCycles(p)
-	}
-	jobsBase := 0
-	if nm != nil {
-		jobsBase = nm.CompletedCount()
-	}
-	queriesBase := svc.Completed()
-	var daemonBase, telBase float64
-	if holmesd != nil {
-		daemonBase = holmesd.CPUTimeNs()
-		telBase = holmesd.TelemetryCPUTimeNs()
-	}
-
+	node.WarmUp(cfg.WarmupNs)
+	lcBase := node.BusyCycles(reserved)
 	res := &ColocationResult{Config: cfg}
 
 	// Fig. 13 VPI sampling: an independent observer of the LC CPUs.
@@ -324,42 +230,25 @@ func RunColocation(cfg ColocationConfig) (*ColocationResult, error) {
 		defer stopVPI()
 	}
 
-	// Measured window.
-	m.RunFor(cfg.DurationNs)
-
-	// Collect.
+	w := node.Measure(cfg.DurationNs)
+	svc := node.Services[0].Service
 	res.Latency = svc.Latencies()
-	var busyNow, lcNow float64
-	for p := 0; p < n; p++ {
-		busyNow += m.BusyCycles(p)
+	res.AvgCPUUtil = w.AvgCPUUtil
+	res.LCUtil = (node.BusyCycles(reserved) - lcBase) /
+		(m.Config().FreqGHz * float64(cfg.DurationNs) * float64(reserved.Count()))
+	res.CompletedJobs = w.CompletedJobs
+	res.CompletedQueries = w.Queries[0]
+	res.DaemonUtil, res.TelemetryUtil = w.DaemonUtil, w.TelemetryUtil
+	if node.Holmes != nil {
+		res.Invocations, res.Deallocations, res.Reallocations, res.Expansions = node.Holmes.Stats()
 	}
-	for _, p := range reserved.CPUs() {
-		lcNow += m.BusyCycles(p)
-	}
-	denom := mcfg.FreqGHz * float64(cfg.DurationNs)
-	res.AvgCPUUtil = (busyNow - busyBase) / (denom * float64(n))
-	res.LCUtil = (lcNow - lcBase) / (denom * float64(reserved.Count()))
-	if nm != nil {
-		res.CompletedJobs = nm.CompletedCount() - jobsBase
-	}
-	res.CompletedQueries = svc.Completed() - queriesBase
-	if holmesd != nil {
-		res.Invocations, res.Deallocations, res.Reallocations, res.Expansions = holmesd.Stats()
-		res.DaemonUtil = (holmesd.CPUTimeNs() - daemonBase) / float64(cfg.DurationNs)
-		res.TelemetryUtil = (holmesd.TelemetryCPUTimeNs() - telBase) / float64(cfg.DurationNs)
-		holmesd.Stop()
-	}
-	if perfiso != nil {
-		perfiso.Stop()
-	}
-	if mr, ok := store.(kvstore.MemoryReporter); ok {
+	if mr, ok := svc.Store().(kvstore.MemoryReporter); ok {
 		res.ServiceMemBytes = mr.ApproxMemory()
 	}
-	if nm != nil {
-		for _, job := range nm.RunningJobs() {
+	if node.Batch != nil {
+		for _, job := range node.Batch.RunningJobs() {
 			res.BatchMemBytes += job.Spec.MemoryBytes * int64(job.Spec.Containers)
 		}
 	}
-	client.Stop()
 	return res, nil
 }

@@ -4,7 +4,8 @@
 // none). It is the configuration-driven face of the reproduction — what a
 // downstream user points at their own workload mix — and it generalizes
 // the paper's evaluation to multiple co-located services sharing one
-// reserved pool.
+// reserved pool. Boot builds that node; Run and the paper's one-service
+// co-location runs (experiments.RunColocation) both drive it.
 package scenario
 
 import (
@@ -13,18 +14,10 @@ import (
 	"io"
 	"strings"
 
-	"github.com/holmes-colocation/holmes/internal/batch"
-	"github.com/holmes-colocation/holmes/internal/cgroupfs"
-	"github.com/holmes-colocation/holmes/internal/core"
-	"github.com/holmes-colocation/holmes/internal/cpuid"
-	"github.com/holmes-colocation/holmes/internal/isolation"
-	"github.com/holmes-colocation/holmes/internal/kernel"
 	"github.com/holmes-colocation/holmes/internal/kvstore"
-	"github.com/holmes-colocation/holmes/internal/lcservice"
 	"github.com/holmes-colocation/holmes/internal/machine"
 	"github.com/holmes-colocation/holmes/internal/stats"
 	"github.com/holmes-colocation/holmes/internal/trace"
-	"github.com/holmes-colocation/holmes/internal/yarn"
 	"github.com/holmes-colocation/holmes/internal/ycsb"
 )
 
@@ -153,248 +146,37 @@ type Report struct {
 	DaemonUtil                               float64
 }
 
-// Run executes the scenario.
+// Run executes the scenario: boot, warm up, measure, report. A zero
+// Spec.Seed runs with the machine's default seed.
 func Run(spec Spec) (*Report, error) {
-	if err := spec.Validate(); err != nil {
+	boot := spec
+	if boot.Seed == 0 {
+		boot.Seed = machine.DefaultConfig().Seed
+	}
+	n, err := Boot(boot, nil, nil)
+	if err != nil {
 		return nil, err
 	}
-	mcfg := machine.DefaultConfig()
-	if spec.Machine.Cores > 0 {
-		mcfg.Topology = cpuid.Topology{Sockets: 1, Cores: spec.Machine.Cores}
-	}
-	if spec.Machine.FreqGHz > 0 {
-		mcfg.FreqGHz = spec.Machine.FreqGHz
-	}
-	if spec.Machine.TickUs > 0 {
-		mcfg.TickNs = spec.Machine.TickUs * 1000
-	}
-	if spec.Seed != 0 {
-		mcfg.Seed = spec.Seed
-	}
-	m := machine.New(mcfg)
-	k := kernel.New(m)
-	fs := cgroupfs.NewFS()
+	defer n.Stop()
+	n.WarmUp(int64(spec.WarmupSeconds * 1e9))
+	w := n.Measure(int64(spec.DurationSeconds * 1e9))
 
-	nLCPU := mcfg.Topology.LogicalCPUs()
-	reservedN := 4
-	if spec.Holmes != nil && spec.Holmes.ReservedCPUs > 0 {
-		reservedN = spec.Holmes.ReservedCPUs
-	}
-	if reservedN > mcfg.Topology.PhysicalCores() {
-		return nil, fmt.Errorf("scenario: %d reserved CPUs exceed %d cores",
-			reservedN, mcfg.Topology.PhysicalCores())
-	}
-	reserved := cpuid.Mask{}
-	for i := 0; i < reservedN; i++ {
-		reserved.Set(i)
-	}
-
-	// Services.
-	type running struct {
-		spec   ServiceSpec
-		svc    *lcservice.Service
-		client *lcservice.Client
-		store  kvstore.Store
-	}
-	var services []running
-	for i, ss := range spec.Services {
-		store, err := lcservice.NewStore(ss.Store, mcfg.Seed+uint64(i))
-		if err != nil {
-			return nil, err
-		}
-		svc := lcservice.Launch(k, store, lcservice.DefaultConfigFor(ss.Store))
-		wl, _ := ycsb.ByName(defaultStr(ss.Workload, "a"))
-		gcfg := ycsb.DefaultConfig(wl)
-		gcfg.RecordCount = ss.RecordCount
-		if gcfg.RecordCount == 0 {
-			gcfg.RecordCount = 50_000
-		}
-		gcfg.Seed = mcfg.Seed + 17 + uint64(i)*101
-		gen := ycsb.NewGenerator(gcfg)
-		svc.Load(gen)
-
-		var tr *ycsb.Traffic
-		if ss.BurstSeconds[0] > 0 {
-			tr = ycsb.NewTraffic(
-				int64(ss.BurstSeconds[0]*1e9), int64(ss.BurstSeconds[1]*1e9),
-				int64(ss.GapSeconds[0]*1e9), int64(ss.GapSeconds[1]*1e9),
-				ss.RPS, mcfg.Seed+29+uint64(i)*7)
-		} else {
-			tr = ycsb.NewTraffic(1e9, 2e9, 1, 2, ss.RPS, mcfg.Seed+29+uint64(i)*7)
-		}
-		services = append(services, running{spec: ss, svc: svc, store: store,
-			client: lcservice.NewClient(svc, gen, tr)})
-	}
-
-	// Control plane.
-	var holmesd *core.Daemon
-	var perfiso *isolation.PerfIso
-	switch spec.Scheduler {
-	case "holmes":
-		hc := core.DefaultConfig()
-		hc.ReservedCPUs = reservedN
-		hc.SNs = 500_000_000
-		hc.DaemonCPU = nLCPU - 1
-		if h := spec.Holmes; h != nil {
-			if h.E > 0 {
-				hc.E = h.E
-			}
-			if h.IntervalUs > 0 {
-				hc.IntervalNs = h.IntervalUs * 1000
-			}
-			if h.QuietSeconds > 0 {
-				hc.SNs = int64(h.QuietSeconds * 1e9)
-			}
-			if h.TriggerMetric != "" {
-				hc.TriggerMetric = core.Metric(h.TriggerMetric)
-			}
-		}
-		var err error
-		holmesd, err = core.Start(k, fs, hc)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range services {
-			if err := holmesd.RegisterLC(r.svc.PID()); err != nil {
-				return nil, err
-			}
-		}
-	case "perfiso":
-		pc := isolation.DefaultPerfIsoConfig()
-		pc.ReservedCPUs = reservedN
-		var err error
-		perfiso, err = isolation.StartPerfIso(k, fs, pc)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range services {
-			if err := perfiso.RegisterLC(r.svc.PID()); err != nil {
-				return nil, err
-			}
-		}
-	case "static":
-		sc := isolation.DefaultStaticConfig()
-		sc.ReservedCPUs = reservedN
-		st, err := isolation.StartStatic(k, fs, sc)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range services {
-			if err := st.RegisterLC(r.svc.PID()); err != nil {
-				return nil, err
-			}
-		}
-		defer st.Stop()
-	default: // none: pin services to the reserved pool statically
-		for _, r := range services {
-			if err := r.svc.Process().SetAffinity(reserved); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Batch stream.
-	var nm *yarn.NodeManager
-	if spec.Batch != nil {
-		nm = yarn.NewNodeManager(k, fs, cpuid.FullMask(nLCPU).Subtract(reserved))
-		b := spec.Batch
-		kinds := batch.Kinds()
-		if len(b.Kinds) > 0 {
-			kinds = nil
-			for _, name := range b.Kinds {
-				found := false
-				for _, kd := range batch.Kinds() {
-					if kd.String() == name {
-						kinds = append(kinds, kd)
-						found = true
-					}
-				}
-				if !found {
-					return nil, fmt.Errorf("scenario: unknown batch kind %q", name)
-				}
-			}
-		}
-		mk := func(i int) batch.Spec {
-			return batch.Spec{
-				Kind:                kinds[i%len(kinds)],
-				Containers:          defaultInt(b.Containers, 4),
-				ThreadsPerContainer: defaultInt(b.ThreadsPerContainer, 2),
-				WorkUnitsPerThread:  defaultInt(b.WorkUnitsPerThread, 1200),
-				MemoryBytes:         4 << 30,
-			}
-		}
-		idx := 0
-		if b.Continuous {
-			nm.Refill = func() *batch.Spec {
-				s := mk(idx)
-				idx++
-				return &s
-			}
-		}
-		nm.MaxConcurrentJobs = defaultInt(b.ConcurrentJobs, 4)
-		for i := 0; i < nm.MaxConcurrentJobs+2; i++ {
-			if err := nm.Submit(mk(idx)); err != nil {
-				return nil, err
-			}
-			idx++
-		}
-	}
-
-	for _, r := range services {
-		r.client.Start()
-	}
-
-	// Warmup, measure.
-	m.RunFor(int64(spec.WarmupSeconds * 1e9))
-	for _, r := range services {
-		r.svc.ResetLatencies()
-	}
-	var busyBase float64
-	for p := 0; p < nLCPU; p++ {
-		busyBase += m.BusyCycles(p)
-	}
-	jobsBase := 0
-	if nm != nil {
-		jobsBase = nm.CompletedCount()
-	}
-	var daemonBase float64
-	if holmesd != nil {
-		daemonBase = holmesd.CPUTimeNs()
-	}
-	durNs := int64(spec.DurationSeconds * 1e9)
-	m.RunFor(durNs)
-
-	// Collect.
-	rep := &Report{Spec: spec}
-	for _, r := range services {
-		name := defaultStr(r.spec.Name, r.spec.Store)
+	rep := &Report{Spec: spec, AvgCPUUtil: w.AvgCPUUtil, CompletedJobs: w.CompletedJobs,
+		DaemonUtil: w.DaemonUtil}
+	for i, s := range n.Services {
 		sr := ServiceReport{
-			Name:     name,
-			Workload: defaultStr(r.spec.Workload, "a"),
-			Queries:  r.svc.Completed(),
-			Summary:  r.svc.Latencies().Summarize(),
+			Name:     defaultStr(s.Spec.Name, s.Spec.Store),
+			Workload: defaultStr(s.Spec.Workload, "a"),
+			Queries:  w.Queries[i],
+			Summary:  s.Service.Latencies().Summarize(),
 		}
-		if mr, ok := r.store.(kvstore.MemoryReporter); ok {
+		if mr, ok := s.Service.Store().(kvstore.MemoryReporter); ok {
 			sr.MemBytes = mr.ApproxMemory()
 		}
 		rep.Services = append(rep.Services, sr)
-		r.client.Stop()
 	}
-	var busyNow float64
-	for p := 0; p < nLCPU; p++ {
-		busyNow += m.BusyCycles(p)
-	}
-	rep.AvgCPUUtil = (busyNow - busyBase) / (mcfg.FreqGHz * float64(durNs) * float64(nLCPU))
-	if nm != nil {
-		rep.CompletedJobs = nm.CompletedCount() - jobsBase
-	}
-	if holmesd != nil {
-		_, rep.Deallocations, rep.Reallocations, rep.Expansions = holmesd.Stats()
-		rep.DaemonUtil = (holmesd.CPUTimeNs() - daemonBase) / float64(durNs)
-		holmesd.Stop()
-	}
-	if perfiso != nil {
-		perfiso.Stop()
+	if n.Holmes != nil {
+		_, rep.Deallocations, rep.Reallocations, rep.Expansions = n.Holmes.Stats()
 	}
 	return rep, nil
 }

@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"github.com/holmes-colocation/holmes/internal/machine"
 )
 
 func minimalSpec() Spec {
@@ -100,6 +102,11 @@ func TestRunSingleService(t *testing.T) {
 	s := rep.Services[0]
 	if s.Queries == 0 || s.Summary.Mean <= 0 {
 		t.Fatalf("no queries served: %+v", s)
+	}
+	// The query count and the latency summary cover the same measured
+	// window: warm-up completions count in neither.
+	if s.Queries != int64(s.Summary.Count) {
+		t.Fatalf("queries %d != measured latencies %d", s.Queries, s.Summary.Count)
 	}
 	if rep.CompletedJobs == 0 {
 		t.Fatal("no batch jobs completed")
@@ -251,5 +258,23 @@ func TestRunStaticScheduler(t *testing.T) {
 	if static.CompletedJobs > holmes.CompletedJobs {
 		t.Fatalf("static jobs %d should not exceed holmes %d",
 			static.CompletedJobs, holmes.CompletedJobs)
+	}
+}
+
+// TestZeroSeedMeansDefault pins the JSON surface's reading of seed 0:
+// the machine's default seed, not a literal zero.
+func TestZeroSeedMeansDefault(t *testing.T) {
+	render := func(seed uint64) string {
+		spec := minimalSpec()
+		spec.DurationSeconds = 0.5
+		spec.Seed = seed
+		rep, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Render()
+	}
+	if zero, def := render(0), render(machine.DefaultConfig().Seed); zero != def {
+		t.Fatalf("seed 0 rendered differently from the default seed:\n%s\nvs\n%s", zero, def)
 	}
 }
