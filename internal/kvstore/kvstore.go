@@ -35,7 +35,8 @@ type Result struct {
 	// Found reports whether the key existed (reads/updates) or whether
 	// the operation succeeded (inserts/scans).
 	Found bool
-	// Value is the value read; nil for writes and scans.
+	// Value is the value read; nil for writes and scans. It aliases the
+	// stored bytes (the slice Update or Insert kept), so it is read-only.
 	Value []byte
 	// ScanCount is the number of records visited by a scan.
 	ScanCount int
@@ -88,6 +89,11 @@ func (b BackgroundTask) Items() []workload.Item {
 }
 
 // Store is the interface all four services implement.
+//
+// Values are read-only. Update and Insert keep the caller's slice as the
+// stored value and must never write into it: the YCSB generator hands out
+// windows of one shared pool (ycsb.Generator.Value), so a write would
+// corrupt other records. Stores account values by length only.
 type Store interface {
 	// Name returns the service name ("redis", "rocksdb", ...).
 	Name() string

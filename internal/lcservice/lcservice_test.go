@@ -5,6 +5,7 @@ import (
 
 	"github.com/holmes-colocation/holmes/internal/cpuid"
 	"github.com/holmes-colocation/holmes/internal/kernel"
+	"github.com/holmes-colocation/holmes/internal/kvstore"
 	"github.com/holmes-colocation/holmes/internal/kvstore/memcached"
 	"github.com/holmes-colocation/holmes/internal/kvstore/redis"
 	"github.com/holmes-colocation/holmes/internal/kvstore/rocksdb"
@@ -239,5 +240,50 @@ func TestRMWCostsMoreThanRead(t *testing.T) {
 	rmwLat := svc.Latencies().Mean()
 	if rmwLat <= readLat {
 		t.Fatalf("RMW (%.0f ns) should cost more than read (%.0f ns)", rmwLat, readLat)
+	}
+}
+
+// TestStoresNeverWriteValues pins the read-only value contract: record
+// values are windows of ycsb's shared pool, so a store that wrote into a
+// value it was handed would corrupt every generator's records. Preload
+// each store, drive updates, read-modify-writes and inserts through it,
+// and check every preloaded record still has its original bytes.
+func TestStoresNeverWriteValues(t *testing.T) {
+	const records = 2000
+	small := rocksdb.DefaultConfig()
+	small.MemtableBytes = 256 << 10 // flush and compact during the run
+	stores := map[string]kvstore.Store{"rocksdb": rocksdb.New(small)}
+	for _, name := range []string{"redis", "memcached", "wiredtiger"} {
+		st, err := NewStore(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[name] = st
+	}
+	for name, st := range stores {
+		m, k := newEnv()
+		svc := Launch(k, st, DefaultConfigFor(name))
+		cfg := ycsb.DefaultConfig(ycsb.WorkloadA)
+		cfg.RecordCount = records
+		gen := ycsb.NewGenerator(cfg)
+		want := make([][]byte, records)
+		for i := range want {
+			want[i] = append([]byte(nil), gen.Value(int64(i))...)
+		}
+		svc.Load(gen)
+		for _, w := range []ycsb.Workload{ycsb.WorkloadA, ycsb.WorkloadF, ycsb.WorkloadD} {
+			wcfg := ycsb.DefaultConfig(w)
+			wcfg.RecordCount = records
+			ops := ycsb.NewGenerator(wcfg)
+			for i := 0; i < 2000; i++ {
+				svc.Submit(ops.Next(), m.Now())
+			}
+			m.RunFor(1_000_000)
+		}
+		for i, v := range want {
+			if string(gen.Value(int64(i))) != string(v) {
+				t.Fatalf("%s: record %d's value changed under the store", name, i)
+			}
+		}
 	}
 }

@@ -7,6 +7,7 @@ package ycsb
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/holmes-colocation/holmes/internal/rng"
 )
@@ -120,10 +121,13 @@ type Generator struct {
 	zipf     *rng.ScrambledZipf
 	latest   *rng.Latest
 	inserted int64
+	pool     []byte // the shared letter pool; Value windows into it
+	seedMix  uint64 // cfg.Seed hashed once; Value adds the record index
 }
 
 // NewGenerator builds a generator; RecordCount records are assumed loaded
-// (use LoadOps to produce the load phase).
+// (use LoadOps to produce the load phase). It panics when a record
+// (FieldCount*FieldLength bytes) is larger than a pool window allows.
 func NewGenerator(cfg Config) *Generator {
 	if cfg.RecordCount <= 0 {
 		panic("ycsb: RecordCount must be positive")
@@ -137,35 +141,85 @@ func NewGenerator(cfg Config) *Generator {
 	if cfg.FieldLength == 0 {
 		cfg.FieldLength = 100
 	}
-	g := &Generator{cfg: cfg, src: rng.New(cfg.Seed), inserted: cfg.RecordCount}
+	if n := cfg.FieldCount * cfg.FieldLength; n < 0 || n > maxValueLen {
+		panic(fmt.Sprintf("ycsb: record size %d bytes outside [0, %d]", n, maxValueLen))
+	}
+	g := &Generator{
+		cfg: cfg, src: rng.New(cfg.Seed), inserted: cfg.RecordCount,
+		pool: letterPool(), seedMix: rng.DeriveSeed(cfg.Seed, "ycsb-values"),
+	}
 	g.zipf = rng.NewScrambledZipf(g.src.Split(), cfg.RecordCount, cfg.ZipfTheta)
 	g.latest = rng.NewLatest(g.src.Split(), cfg.RecordCount, cfg.ZipfTheta,
 		func() int64 { return g.inserted })
 	return g
 }
 
-// Key formats record index i as a YCSB key.
-func Key(i int64) string { return fmt.Sprintf("user%012d", i) }
+// Key formats record index i as a YCSB key: "user" and i zero-padded to
+// twelve digits. It runs on every request, so the common range is
+// formatted by hand.
+func Key(i int64) string {
+	if i < 0 || i >= 1e12 {
+		return fmt.Sprintf("user%012d", i)
+	}
+	b := [16]byte{'u', 's', 'e', 'r'}
+	for j := len(b) - 1; j >= 4; j-- {
+		b[j] = '0' + byte(i%10)
+		i /= 10
+	}
+	return string(b[:])
+}
 
 // RecordCount returns the current number of records (grows with inserts).
 func (g *Generator) RecordCount() int64 { return g.inserted }
 
-// Value produces the deterministic record payload for key index i.
-func (g *Generator) Value(i int64) []byte {
-	n := g.cfg.FieldCount * g.cfg.FieldLength
-	buf := make([]byte, n)
-	seed := uint64(i)*0x9e3779b97f4a7c15 + g.cfg.Seed
-	// Fill eight letters per LCG step; this sits on the benchmark hot
-	// path (every update regenerates its record).
-	for j := 0; j < n; j += 8 {
+// Record values are windows of one shared, read-only pool of letters.
+// A window starts at one of valueOffsets offsets and holds at most
+// maxValueLen bytes, so the pool is their sum: 1 MiB.
+const (
+	valueOffsets = 1 << 19 // a power of two, for valueOffset
+	maxValueLen  = 1 << 19 // largest FieldCount*FieldLength accepted
+)
+
+// letterPool builds the pool on first use, once per process: building
+// it at package init would charge every process start, including those
+// that never generate a record.
+var letterPool = sync.OnceValue(buildLetterPool)
+
+func buildLetterPool() []byte {
+	pool := make([]byte, valueOffsets+maxValueLen)
+	seed := uint64(0x9e3779b97f4a7c15)
+	for j := 0; j < len(pool); j += 8 {
 		seed = seed*6364136223846793005 + 1442695040888963407
 		w := seed
-		for k := j; k < j+8 && k < n; k++ {
-			buf[k] = 'a' + byte(w%26)
+		for k := j; k < j+8; k++ {
+			pool[k] = 'a' + byte(w%26)
 			w >>= 8
 		}
 	}
-	return buf
+	return pool
+}
+
+// Value returns the deterministic record payload for key index i: a
+// window of the shared pool, at an offset hashed from (Seed, i), with
+// capacity capped at its length so an append copies rather than writing
+// into the pool. The bytes are shared and must never be written; stores
+// keep the slice and account only its length.
+func (g *Generator) Value(i int64) []byte {
+	n := g.cfg.FieldCount * g.cfg.FieldLength
+	off := valueOffset(g.seedMix + uint64(i))
+	return g.pool[off : off+n : off+n]
+}
+
+// valueOffset is a bijection on 19-bit integers (odd multiplies and
+// xor-shifts, each invertible modulo valueOffsets), so any
+// valueOffsets consecutive record indices get distinct windows.
+func valueOffset(x uint64) int {
+	const mask = valueOffsets - 1
+	x = x * 0x9e3779b97f4a7c15 & mask
+	x ^= x >> 10
+	x = x * 0xbf58476d1ce4e5b9 & mask
+	x ^= x >> 9
+	return int(x)
 }
 
 // LoadOps invokes fn for every initial record, in insertion order.

@@ -1,7 +1,9 @@
 package ycsb
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -32,6 +34,14 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("z"); err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+}
+
+func TestKeyMatchesSprintf(t *testing.T) {
+	for _, i := range []int64{0, 9, 10, 1e11, 1e12 - 1, 1e12, -1} {
+		if got, want := Key(i), fmt.Sprintf("user%012d", i); got != want {
+			t.Fatalf("Key(%d) = %q, want %q", i, got, want)
+		}
 	}
 }
 
@@ -140,6 +150,82 @@ func TestValueDeterministicAndSized(t *testing.T) {
 	}
 	if string(g.Value(6)) == string(v1) {
 		t.Fatal("different records produced identical values")
+	}
+
+	// Values are read-only windows of a shared pool: capacity stops at
+	// the length, so an append copies instead of writing into the pool.
+	if cap(v1) != len(v1) {
+		t.Fatalf("cap = %d, want len %d", cap(v1), len(v1))
+	}
+	before := string(g.Value(6))
+	grown := append(v1, "zzzzzzzz"...)
+	grown[0] = '!'
+	if string(g.Value(5)) != string(v2) || string(g.Value(6)) != before {
+		t.Fatal("append to a value wrote into the pool")
+	}
+
+	for i := int64(0); i < 50_000; i++ {
+		if string(g.Value(i)) == string(g.Value(i+1)) {
+			t.Fatalf("records %d and %d share a window", i, i+1)
+		}
+	}
+
+	cfg2 := cfg
+	cfg2.Seed = cfg.Seed + 1
+	if string(NewGenerator(cfg2).Value(5)) == string(v1) {
+		t.Fatal("seed does not move the value")
+	}
+
+	t.Run("size bound", func(t *testing.T) {
+		big := cfg
+		big.FieldCount, big.FieldLength = 1, maxValueLen
+		if v := NewGenerator(big).Value(3); len(v) != maxValueLen {
+			t.Fatalf("largest record has %d bytes", len(v))
+		}
+		big.FieldCount = 2
+		defer func() {
+			if recover() == nil {
+				t.Fatal("record larger than a pool window accepted")
+			}
+		}()
+		NewGenerator(big)
+	})
+
+	t.Run("concurrent first use", func(t *testing.T) {
+		// A fresh once, so the pool is built here whatever ran before.
+		saved := letterPool
+		defer func() { letterPool = saved }()
+		letterPool = sync.OnceValue(buildLetterPool)
+
+		const workers = 8
+		vals := make([][]byte, workers)
+		var wg sync.WaitGroup
+		for w := range vals {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				vals[w] = NewGenerator(cfg).Value(12345)
+			}()
+		}
+		wg.Wait()
+		want := NewGenerator(cfg).Value(12345)
+		for w, v := range vals {
+			if string(v) != string(want) {
+				t.Fatalf("goroutine %d saw different bytes", w)
+			}
+		}
+		letterPool = saved
+		if string(NewGenerator(cfg).Value(12345)) != string(want) {
+			t.Fatal("rebuilt pool differs from the first")
+		}
+	})
+}
+
+func TestValueAllocatesNothing(t *testing.T) {
+	g := NewGenerator(DefaultConfig(WorkloadA))
+	i := int64(0)
+	if n := testing.AllocsPerRun(100, func() { _ = g.Value(i); i++ }); n != 0 {
+		t.Fatalf("Value allocates %v times", n)
 	}
 }
 
