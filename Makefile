@@ -13,13 +13,14 @@ vet:
 # Fast correctness gate: every file gofmt-clean, vet everything, race-test
 # the telemetry record path, the daemon that drives it, the worker pool,
 # the concurrent experiment engine (heavy serial simulations skip
-# themselves under -race; the engine's concurrency tests still run), and
-# the YCSB value pool's concurrent first use with the stores it feeds.
+# themselves under -race; the engine's concurrency tests still run), the
+# YCSB value pool's concurrent first use, the stores it feeds, and the
+# process-wide Zipf normaliser memo.
 check:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race ./internal/telemetry/... ./internal/core/... ./internal/runner/... ./internal/experiments/... ./internal/cluster/... ./internal/faults/... \
-		./internal/ycsb/... ./internal/lcservice/... ./internal/traffic/...
+		./internal/ycsb/... ./internal/lcservice/... ./internal/traffic/... ./internal/kvstore/... ./internal/rng/...
 
 # Interval-batching equivalence gate: the per-scenario differential
 # suite (internal/machine/equiv) plus the registry-wide test over every

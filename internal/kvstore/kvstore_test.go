@@ -10,7 +10,7 @@ import (
 )
 
 func TestLRUBasics(t *testing.T) {
-	c := NewLRU(300)
+	c := NewLRU[string](300)
 	if c.Touch("a", 100) {
 		t.Fatal("first touch should miss")
 	}
@@ -39,7 +39,7 @@ func TestLRUBasics(t *testing.T) {
 }
 
 func TestLRURecencyUpdates(t *testing.T) {
-	c := NewLRU(200)
+	c := NewLRU[string](200)
 	c.Touch("a", 100)
 	c.Touch("b", 100)
 	c.Touch("a", 100) // refresh a
@@ -50,7 +50,7 @@ func TestLRURecencyUpdates(t *testing.T) {
 }
 
 func TestLRUResize(t *testing.T) {
-	c := NewLRU(200)
+	c := NewLRU[string](200)
 	c.Touch("a", 100)
 	c.Touch("b", 50)
 	c.Touch("a", 180) // grows a, evicting b
@@ -63,7 +63,7 @@ func TestLRUResize(t *testing.T) {
 }
 
 func TestLRUOversizedEntry(t *testing.T) {
-	c := NewLRU(100)
+	c := NewLRU[string](100)
 	c.Touch("huge", 1000)
 	if c.Contains("huge") || c.Used() != 0 {
 		t.Fatal("oversized entry must not be cached")
@@ -71,7 +71,7 @@ func TestLRUOversizedEntry(t *testing.T) {
 }
 
 func TestLRUZeroCapacity(t *testing.T) {
-	c := NewLRU(0)
+	c := NewLRU[string](0)
 	c.Touch("a", 1)
 	if c.Contains("a") {
 		t.Fatal("zero-capacity cache cached something")
@@ -79,7 +79,7 @@ func TestLRUZeroCapacity(t *testing.T) {
 }
 
 func TestLRUOnEvict(t *testing.T) {
-	c := NewLRU(100)
+	c := NewLRU[string](100)
 	var evicted []string
 	c.OnEvict = func(key string, size int64) { evicted = append(evicted, key) }
 	c.Touch("a", 60)
@@ -102,7 +102,7 @@ func TestLRUUsedNeverExceedsCapacity(t *testing.T) {
 		Key  uint8
 		Size uint16
 	}) bool {
-		c := NewLRU(4096)
+		c := NewLRU[string](4096)
 		for _, op := range ops {
 			c.Touch(fmt.Sprintf("k%d", op.Key), int64(op.Size))
 			if c.Used() > 4096 {
@@ -119,25 +119,25 @@ func TestLRUUsedNeverExceedsCapacity(t *testing.T) {
 func TestResidencyLevels(t *testing.T) {
 	r := NewResidency(1 << 20)
 	// Cold access: DRAM.
-	c := r.TouchRecord("k1", 1024, false)
+	c := r.TouchRecord(0, "k1", 1024, false)
 	if c.Acc[workload.DRAM].Loads == 0 || c.Acc[workload.L3].Loads != 0 {
 		t.Fatalf("cold access cost: %+v", c)
 	}
 	// Warm access: L3.
-	c = r.TouchRecord("k1", 1024, false)
+	c = r.TouchRecord(0, "k1", 1024, false)
 	if c.Acc[workload.L3].Loads == 0 || c.Acc[workload.DRAM].Loads != 0 {
 		t.Fatalf("warm access cost: %+v", c)
 	}
 	// Writes produce stores.
-	c = r.TouchRecord("k1", 1024, true)
+	c = r.TouchRecord(0, "k1", 1024, true)
 	if c.Acc[workload.L3].Stores == 0 {
 		t.Fatalf("write cost: %+v", c)
 	}
 	if r.HitRate() <= 0 {
 		t.Fatal("hit rate not tracked")
 	}
-	r.Invalidate("k1")
-	c = r.TouchRecord("k1", 1024, false)
+	r.Invalidate(0, "k1")
+	c = r.TouchRecord(0, "k1", 1024, false)
 	if c.Acc[workload.DRAM].Loads == 0 {
 		t.Fatal("invalidation ignored")
 	}
@@ -146,12 +146,24 @@ func TestResidencyLevels(t *testing.T) {
 func TestResidencyEvictionUnderPressure(t *testing.T) {
 	r := NewResidency(10 * 1024)
 	for i := 0; i < 100; i++ {
-		r.TouchRecord(fmt.Sprintf("k%d", i), 1024, false)
+		r.TouchRecord(0, fmt.Sprintf("k%d", i), 1024, false)
 	}
 	// Working set is 10x the LLC: early keys must be cold again.
-	c := r.TouchRecord("k0", 1024, false)
+	c := r.TouchRecord(0, "k0", 1024, false)
 	if c.Acc[workload.DRAM].Loads == 0 {
 		t.Fatal("k0 should have been evicted from the LLC model")
+	}
+}
+
+func TestResidencyTagsAreDistinct(t *testing.T) {
+	r := NewResidency(1 << 20)
+	r.TouchRecord(0, "k", 64, false)
+	if c := r.TouchRecord(1, "k", 64, false); c.Acc[workload.DRAM].Loads == 0 {
+		t.Fatal("the same key under another tag shared a residency entry")
+	}
+	r.Invalidate(1, "k")
+	if c := r.TouchRecord(0, "k", 64, false); c.Acc[workload.L3].Loads == 0 {
+		t.Fatal("invalidating one tag evicted the other")
 	}
 }
 

@@ -168,6 +168,13 @@ func (s *Store) growTable() {
 	}
 }
 
+// Residency tags: an item's data and its header are distinct lines in
+// the LLC model.
+const (
+	tagItem kvstore.Tag = iota
+	tagHeader
+)
+
 // itemOverhead approximates memcached's per-item header.
 const itemOverhead = 56
 
@@ -176,7 +183,7 @@ func (s *Store) baseCost(key string, chainSteps int) workload.Cost {
 	c := workload.Compute(150 + 4*float64(len(key)))
 	c.Add(workload.MemRead(workload.L2, 2))
 	for i := 0; i < chainSteps; i++ {
-		c.Add(s.res.TouchRecord("hdr:"+key, itemOverhead, false))
+		c.Add(s.res.TouchRecord(tagHeader, key, itemOverhead, false))
 	}
 	return c
 }
@@ -189,7 +196,7 @@ func (s *Store) Read(key string) kvstore.Result {
 		return kvstore.Result{Found: false, Cost: cost}
 	}
 	s.lrus[it.class].MoveToFront(it.lruElem)
-	cost.Add(s.res.TouchRecord(key, int64(len(it.value))+itemOverhead, false))
+	cost.Add(s.res.TouchRecord(tagItem, key, int64(len(it.value))+itemOverhead, false))
 	cost.Add(workload.WriteBytes(workload.L2, int64(len(it.value))))
 	cost.Add(workload.Compute(float64(len(it.value)) / 8))
 	return kvstore.Result{Found: true, Value: it.value, Cost: cost}
@@ -221,7 +228,7 @@ func (s *Store) set(key string, value []byte) kvstore.Result {
 			// In-place replacement within the same size class.
 			old.value = value
 			s.lrus[ci].MoveToFront(old.lruElem)
-			cost.Add(s.res.TouchRecord(key, need, true))
+			cost.Add(s.res.TouchRecord(tagItem, key, need, true))
 			cost.Add(workload.Compute(float64(len(value)) / 8))
 			return kvstore.Result{Found: true, Cost: cost}
 		}
@@ -252,7 +259,7 @@ func (s *Store) set(key string, value []byte) kvstore.Result {
 	it := &item{key: key, value: value, class: ci}
 	it.lruElem = s.lrus[ci].PushFront(it)
 	s.insertBucket(it)
-	cost.Add(s.res.TouchRecord(key, need, true))
+	cost.Add(s.res.TouchRecord(tagItem, key, need, true))
 	cost.Add(workload.Compute(float64(len(value)) / 8))
 	return kvstore.Result{Found: true, Cost: cost}
 }
@@ -262,7 +269,7 @@ func (s *Store) set(key string, value []byte) kvstore.Result {
 func (s *Store) removeItem(it *item) {
 	s.removeBucket(it.key)
 	s.lrus[it.class].Remove(it.lruElem)
-	s.res.Invalidate(it.key)
+	s.res.Invalidate(tagItem, it.key)
 }
 
 // Delete removes a key.

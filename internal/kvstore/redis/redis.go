@@ -66,6 +66,13 @@ func (s *Store) Len() int { return s.d.Len() }
 // ApproxMemory returns the approximate resident set in bytes.
 func (s *Store) ApproxMemory() int64 { return s.mem }
 
+// Residency tags: a record's value and its dictEntry header are
+// distinct lines in the LLC model.
+const (
+	tagValue kvstore.Tag = iota
+	tagHeader
+)
+
 // entryHeaderBytes is the dictEntry struct footprint: key pointer, value
 // pointer, next pointer, plus robj headers.
 const entryHeaderBytes = 64
@@ -78,7 +85,7 @@ func (s *Store) baseCost(key string, chainSteps, rehashed int) workload.Cost {
 	c := workload.Compute(200 + 4*float64(len(key))) // parse + hash + dispatch
 	c.Add(workload.MemRead(workload.L2, 2))          // dict header + bucket head
 	for i := 0; i < chainSteps; i++ {
-		c.Add(s.res.TouchRecord("hdr:"+key, entryHeaderBytes, false))
+		c.Add(s.res.TouchRecord(tagHeader, key, entryHeaderBytes, false))
 	}
 	if rehashed > 0 {
 		// Bucket migration: each moved entry is a read + two pointer
@@ -97,7 +104,7 @@ func (s *Store) Read(key string) kvstore.Result {
 	if ok {
 		// Fetch the value and serialize the reply: value loads at its
 		// residency level, reply stores into a fresh (cache-hot) buffer.
-		cost.Add(s.res.TouchRecord(key, int64(len(v))+entryHeaderBytes, false))
+		cost.Add(s.res.TouchRecord(tagValue, key, int64(len(v))+entryHeaderBytes, false))
 		cost.Add(workload.WriteBytes(workload.L2, int64(len(v))))
 		cost.Add(workload.Compute(float64(len(v)) / 8))
 	}
@@ -109,7 +116,7 @@ func (s *Store) Read(key string) kvstore.Result {
 func (s *Store) Update(key string, value []byte) kvstore.Result {
 	isNew := s.d.Set(key, value)
 	cost := s.baseCost(key, s.d.chainSteps, s.d.rehashedKeys)
-	cost.Add(s.res.TouchRecord(key, int64(len(value))+entryHeaderBytes, true))
+	cost.Add(s.res.TouchRecord(tagValue, key, int64(len(value))+entryHeaderBytes, true))
 	cost.Add(workload.Compute(float64(len(value)) / 8))
 	if isNew {
 		s.indexInsert(key, &cost)
@@ -173,7 +180,7 @@ func (s *Store) Scan(start string, count int) kvstore.Result {
 	s.index.Seek(start, count, func(k string, _ []byte) bool {
 		v, ok := s.d.Get(k)
 		if ok {
-			cost.Add(s.res.TouchRecord(k, int64(len(v))+entryHeaderBytes, false))
+			cost.Add(s.res.TouchRecord(tagValue, k, int64(len(v))+entryHeaderBytes, false))
 			cost.Add(workload.WriteBytes(workload.L2, int64(len(v))))
 			cost.Add(workload.Compute(float64(len(v)) / 8))
 		}
@@ -191,7 +198,7 @@ func (s *Store) Delete(key string) kvstore.Result {
 	cost := s.baseCost(key, s.d.chainSteps, 0)
 	if ok {
 		s.index.Delete(key)
-		s.res.Invalidate(key)
+		s.res.Invalidate(tagValue, key)
 	}
 	return kvstore.Result{Found: ok, Cost: cost}
 }

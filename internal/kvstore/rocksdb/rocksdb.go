@@ -62,7 +62,7 @@ type Store struct {
 
 	levels     [numLevels][]*sstable // level 0 ordered newest-first
 	nextSSTID  int64
-	blockCache *kvstore.LRU
+	blockCache *kvstore.LRU[blockID]
 	res        *kvstore.Residency
 
 	walBytes int64
@@ -102,7 +102,7 @@ func New(cfg Config) *Store {
 	return &Store{
 		cfg:        cfg,
 		mem:        kvstore.NewSkiplist(cfg.Seed),
-		blockCache: kvstore.NewLRU(cfg.BlockCacheBytes),
+		blockCache: kvstore.NewLRU[blockID](cfg.BlockCacheBytes),
 		res:        kvstore.NewResidency(cfg.LLCBytes),
 	}
 }
@@ -181,17 +181,25 @@ func (s *Store) memtableCost(write bool) workload.Cost {
 	return c
 }
 
-// blockKey names a data block in the block cache.
-func blockKey(sstID int64, block int32) string {
-	return fmt.Sprintf("b%06d/%04d", sstID, block)
+// blockID names a data block in the block cache.
+type blockID struct {
+	sst   int64
+	block int32
 }
+
+// Residency tags: memtable records, table records and cached blocks are
+// distinct lines in the LLC model.
+const (
+	tagMemtable kvstore.Tag = iota
+	tagTable
+	tagBlock
+)
 
 // touchBlock charges a block access: cache hit costs memory reads (with
 // CPU-cache residency), a miss costs a device read plus insert+decode.
-func (s *Store) touchBlock(sstID int64, block int32, cost *workload.Cost, ssdReads *int) {
-	key := blockKey(sstID, block)
-	if s.blockCache.Touch(key, s.cfg.BlockBytes) {
-		cost.Add(s.res.TouchRecord(key, s.cfg.BlockBytes/8, false))
+func (s *Store) touchBlock(t *sstable, block int32, cost *workload.Cost, ssdReads *int) {
+	if s.blockCache.Touch(blockID{t.id, block}, s.cfg.BlockBytes) {
+		cost.Add(s.res.TouchRecord(tagBlock, t.blockNames[block], s.cfg.BlockBytes/8, false))
 		return
 	}
 	*ssdReads++
@@ -213,7 +221,7 @@ func (s *Store) Read(key string) kvstore.Result {
 		if v == nil {
 			return kvstore.Result{Found: false, Cost: cost}
 		}
-		cost.Add(s.res.TouchRecord("m:"+key, int64(len(v)), false))
+		cost.Add(s.res.TouchRecord(tagMemtable, key, int64(len(v)), false))
 		return kvstore.Result{Found: true, Value: v, Cost: cost}
 	}
 	cost.Add(s.memtableCost(false))
@@ -233,7 +241,7 @@ func (s *Store) Read(key string) kvstore.Result {
 			cost.Add(workload.MemRead(workload.L3, 2))
 			e, block, ok := t.get(key)
 			if block >= 0 {
-				s.touchBlock(t.id, block, &cost, &ssdReads)
+				s.touchBlock(t, block, &cost, &ssdReads)
 				// Scanning within the block for the key.
 				cost.Add(workload.Compute(float64(s.cfg.BlockBytes) / 64))
 			}
@@ -241,7 +249,7 @@ func (s *Store) Read(key string) kvstore.Result {
 				if e.del {
 					return kvstore.Result{Found: false, Cost: cost, SSDReads: ssdReads}
 				}
-				cost.Add(s.res.TouchRecord("v:"+key, int64(len(e.value)), false))
+				cost.Add(s.res.TouchRecord(tagTable, key, int64(len(e.value)), false))
 				return kvstore.Result{Found: true, Value: e.value, Cost: cost, SSDReads: ssdReads}
 			}
 			// Bloom false positive or key absent in the candidate block.
@@ -307,7 +315,7 @@ func (s *Store) write(key string, value []byte, del bool) kvstore.Result {
 		s.mem.Set(key, nil)
 	}
 	cost.Add(s.memtableCost(true))
-	cost.Add(s.res.TouchRecord("m:"+key, recBytes, true))
+	cost.Add(s.res.TouchRecord(tagMemtable, key, recBytes, true))
 	if wasNew {
 		s.memBytes += recBytes
 	}
@@ -346,7 +354,7 @@ func (s *Store) flush() {
 	})
 
 	s.memSeq++
-	s.mem = kvstore.NewSkiplist(s.cfg.Seed + s.memSeq)
+	s.mem.Reset(s.cfg.Seed + s.memSeq)
 	s.memBytes = 0
 	s.walBytes = 0
 
@@ -467,7 +475,7 @@ func (s *Store) compact(l int) {
 	// array and appending would clobber live level metadata.)
 	invalidate := func(t *sstable) {
 		for b := int32(0); b < int32(t.numBlocks); b++ {
-			s.blockCache.Remove(blockKey(t.id, b))
+			s.blockCache.Remove(blockID{t.id, b})
 		}
 	}
 	for _, t := range sources {
@@ -542,7 +550,7 @@ func (s *Store) Scan(start string, count int) kvstore.Result {
 			for j := i; j < end; j++ {
 				if t.blockOf[j] != lastBlock {
 					lastBlock = t.blockOf[j]
-					s.touchBlock(t.id, lastBlock, &cost, &ssdReads)
+					s.touchBlock(t, lastBlock, &cost, &ssdReads)
 				}
 			}
 		}
@@ -554,7 +562,7 @@ func (s *Store) Scan(start string, count int) kvstore.Result {
 		if visited >= count {
 			break
 		}
-		cost.Add(s.res.TouchRecord("v:"+e.key, int64(len(e.value)), false))
+		cost.Add(s.res.TouchRecord(tagTable, e.key, int64(len(e.value)), false))
 		cost.Add(workload.Compute(float64(len(e.value)) / 16))
 		visited++
 	}

@@ -2,6 +2,7 @@ package rocksdb
 
 import (
 	"sort"
+	"strconv"
 
 	"github.com/holmes-colocation/holmes/internal/kvstore"
 )
@@ -38,8 +39,11 @@ type sstable struct {
 	// blockOf[i] is the data block holding entry i.
 	blockOf   []int32
 	numBlocks int
-	minKey    string
-	maxKey    string
+	// blockNames[b] ("<table id>/<b>") is block b's key in the CPU-cache
+	// residency model, formatted once here rather than on every block hit.
+	blockNames []string
+	minKey     string
+	maxKey     string
 }
 
 // buildSSTable constructs a table from sorted, de-duplicated entries.
@@ -61,6 +65,11 @@ func buildSSTable(id int64, level int, entries []entry, blockBytes int64, bitsPe
 		t.size += sz
 	}
 	t.numBlocks = int(block) + 1
+	t.blockNames = make([]string, t.numBlocks)
+	prefix := strconv.FormatInt(id, 10) + "/"
+	for b := range t.blockNames {
+		t.blockNames[b] = prefix + strconv.Itoa(b)
+	}
 	t.filter = newBloom(keys, bitsPerKey)
 	if len(entries) > 0 {
 		t.minKey = entries[0].key

@@ -8,8 +8,16 @@ import (
 // as the sorted index Redis keeps for range scans (the YCSB Redis binding
 // maintains a ZSET index for exactly this reason). Tower heights come from
 // a seeded generator so simulations replay identically.
+//
+// Nodes live in one slab with the head at index 0; each node's forward
+// links are a window of one shared tower slice, and link 0 means "none"
+// (no link ever points back at the head). Deleted nodes go on a free
+// list per height, so a node allocates only when the slab adds a chunk
+// or the tower slice grows.
 type Skiplist struct {
-	head   *skipNode
+	nodes  slab[skipNode]
+	tower  []int32 // forward links: node n's level i is tower[n.tower+i]
+	free   [skipMaxLevel]int32
 	level  int
 	length int
 	src    *rng.Source
@@ -23,16 +31,23 @@ const skipMaxLevel = 16
 type skipNode struct {
 	key   string
 	value []byte
-	next  []*skipNode
+	tower int32 // offset of the node's links in Skiplist.tower
 }
 
 // NewSkiplist creates an empty skiplist seeded deterministically.
 func NewSkiplist(seed uint64) *Skiplist {
-	return &Skiplist{
-		head:  &skipNode{next: make([]*skipNode, skipMaxLevel)},
-		level: 1,
-		src:   rng.New(seed),
-	}
+	s := &Skiplist{}
+	s.Reset(seed)
+	return s
+}
+
+// Reset empties the skiplist and reseeds it as NewSkiplist(seed) would,
+// keeping its memory for the next fill (a flushed memtable's successor).
+func (s *Skiplist) Reset(seed uint64) {
+	s.nodes.reset()
+	s.nodes.add() // the head, with the first skipMaxLevel links
+	s.tower = append(s.tower[:0], make([]int32, skipMaxLevel)...)
+	*s = Skiplist{nodes: s.nodes, tower: s.tower, level: 1, src: rng.New(seed)}
 }
 
 // Len returns the number of entries.
@@ -49,70 +64,97 @@ func (s *Skiplist) randomLevel() int {
 	return lvl
 }
 
+// next returns node n's successor at level i (0 = none).
+func (s *Skiplist) next(n int32, i int) int32 { return s.tower[s.nodes.at(n).tower+int32(i)] }
+
 // findPredecessors fills update with the rightmost node before key at each
-// level and returns the candidate node (which may equal key).
-func (s *Skiplist) findPredecessors(key string, update *[skipMaxLevel]*skipNode) *skipNode {
+// level and returns the candidate node (which may equal key), 0 if none.
+func (s *Skiplist) findPredecessors(key string, update *[skipMaxLevel]int32) int32 {
 	s.searchSteps = 0
-	x := s.head
+	x := int32(0)
 	for i := s.level - 1; i >= 0; i-- {
-		for x.next[i] != nil && x.next[i].key < key {
-			x = x.next[i]
+		for nx := s.next(x, i); nx != 0 && s.nodes.at(nx).key < key; nx = s.next(x, i) {
+			x = nx
 			s.searchSteps++
 		}
 		update[i] = x
 	}
-	return x.next[0]
+	return s.next(x, 0)
 }
 
 // Set inserts or overwrites key. It returns true if the key was new.
 func (s *Skiplist) Set(key string, value []byte) bool {
-	var update [skipMaxLevel]*skipNode
+	var update [skipMaxLevel]int32
 	cand := s.findPredecessors(key, &update)
-	if cand != nil && cand.key == key {
-		cand.value = value
+	if c := s.nodes.at(cand); cand != 0 && c.key == key {
+		c.value = value
 		return false
 	}
 	lvl := s.randomLevel()
 	if lvl > s.level {
 		for i := s.level; i < lvl; i++ {
-			update[i] = s.head
+			update[i] = 0
 		}
 		s.level = lvl
 	}
-	node := &skipNode{key: key, value: value, next: make([]*skipNode, lvl)}
+	n := s.alloc(lvl)
+	node := s.nodes.at(n)
+	node.key, node.value = key, value
 	for i := 0; i < lvl; i++ {
-		node.next[i] = update[i].next[i]
-		update[i].next[i] = node
+		p := s.nodes.at(update[i]).tower + int32(i)
+		s.tower[node.tower+int32(i)] = s.tower[p]
+		s.tower[p] = n
 	}
 	s.length++
 	return true
 }
 
+// alloc returns a node with lvl links, reusing a deleted one of the same
+// height when there is one. Its links are not cleared: Set overwrites
+// all of them.
+func (s *Skiplist) alloc(lvl int) int32 {
+	if n := s.free[lvl-1]; n != 0 {
+		s.free[lvl-1] = s.tower[s.nodes.at(n).tower]
+		return n
+	}
+	n := s.nodes.add()
+	s.nodes.at(n).tower = int32(len(s.tower))
+	s.tower = append(s.tower, make([]int32, lvl)...)
+	return n
+}
+
 // Get returns the value for key.
 func (s *Skiplist) Get(key string) ([]byte, bool) {
-	var update [skipMaxLevel]*skipNode
+	var update [skipMaxLevel]int32
 	cand := s.findPredecessors(key, &update)
-	if cand != nil && cand.key == key {
-		return cand.value, true
+	if c := s.nodes.at(cand); cand != 0 && c.key == key {
+		return c.value, true
 	}
 	return nil, false
 }
 
 // Delete removes key, reporting whether it existed.
 func (s *Skiplist) Delete(key string) bool {
-	var update [skipMaxLevel]*skipNode
+	var update [skipMaxLevel]int32
 	cand := s.findPredecessors(key, &update)
-	if cand == nil || cand.key != key {
+	c := s.nodes.at(cand)
+	if cand == 0 || c.key != key {
 		return false
 	}
+	lvl := 0
 	for i := 0; i < s.level; i++ {
-		if update[i].next[i] == cand {
-			update[i].next[i] = cand.next[i]
+		if p := s.nodes.at(update[i]).tower + int32(i); s.tower[p] == cand {
+			s.tower[p] = s.next(cand, i)
+			lvl = i + 1
 		}
 	}
-	for s.level > 1 && s.head.next[s.level-1] == nil {
+	for s.level > 1 && s.next(0, s.level-1) == 0 {
 		s.level--
 	}
+	// Every level of the node's tower was linked, so lvl is its height.
+	*c = skipNode{tower: c.tower}
+	s.tower[c.tower] = s.free[lvl-1]
+	s.free[lvl-1] = cand
 	s.length--
 	return true
 }
@@ -121,16 +163,16 @@ func (s *Skiplist) Delete(key string) bool {
 // entries in order; fn returning false stops early. It returns the number
 // of visited entries.
 func (s *Skiplist) Seek(start string, count int, fn func(key string, value []byte) bool) int {
-	var update [skipMaxLevel]*skipNode
-	node := s.findPredecessors(start, &update)
+	var update [skipMaxLevel]int32
+	n := s.findPredecessors(start, &update)
 	visited := 0
-	for node != nil && visited < count {
-		if !fn(node.key, node.value) {
+	for n != 0 && visited < count {
+		if node := s.nodes.at(n); !fn(node.key, node.value) {
 			visited++
 			break
 		}
 		visited++
-		node = node.next[0]
+		n = s.next(n, 0)
 		s.searchSteps++
 	}
 	return visited
@@ -138,15 +180,13 @@ func (s *Skiplist) Seek(start string, count int, fn func(key string, value []byt
 
 // All calls fn for every entry in key order (used by memtable flush).
 func (s *Skiplist) All(fn func(key string, value []byte)) {
-	for n := s.head.next[0]; n != nil; n = n.next[0] {
-		fn(n.key, n.value)
+	for n := s.next(0, 0); n != 0; n = s.next(n, 0) {
+		node := s.nodes.at(n)
+		fn(node.key, node.value)
 	}
 }
 
 // Min returns the smallest key, or "" when empty.
 func (s *Skiplist) Min() string {
-	if s.head.next[0] == nil {
-		return ""
-	}
-	return s.head.next[0].key
+	return s.nodes.at(s.next(0, 0)).key // the head's key is ""
 }

@@ -19,8 +19,8 @@ type node struct {
 	next   *node
 
 	id    int64
+	name  string // a leaf's page key in the residency model
 	bytes int64
-	dirty bool
 }
 
 // descendSteps is the number of inner nodes visited by the last descend.
@@ -36,7 +36,7 @@ type btree struct {
 func newBtree(leafMaxBytes int64, innerFanout int) *btree {
 	t := &btree{leafMaxBytes: leafMaxBytes, innerFanout: innerFanout, height: 1}
 	t.nextPageID++
-	t.root = &node{leaf: true, id: t.nextPageID}
+	t.root = &node{leaf: true, id: t.nextPageID, name: pageKey(t.nextPageID)}
 	t.leaves = 1
 	return t
 }
@@ -71,7 +71,6 @@ func (t *btree) set(key string, value []byte) (*node, bool, bool) {
 	if i < len(leaf.keys) && leaf.keys[i] == key {
 		leaf.bytes += int64(len(value) - len(leaf.values[i]))
 		leaf.values[i] = value
-		leaf.dirty = true
 		return leaf, false, false
 	}
 	leaf.keys = append(leaf.keys, "")
@@ -81,7 +80,6 @@ func (t *btree) set(key string, value []byte) (*node, bool, bool) {
 	leaf.keys[i] = key
 	leaf.values[i] = value
 	leaf.bytes += recordBytes(key, value)
-	leaf.dirty = true
 	split := false
 	if leaf.bytes > t.leafMaxBytes && len(leaf.keys) > 1 {
 		t.splitLeaf(leaf)
@@ -112,7 +110,6 @@ func (t *btree) delete(key string) (*node, bool) {
 	leaf.bytes -= recordBytes(key, leaf.values[i])
 	leaf.keys = append(leaf.keys[:i], leaf.keys[i+1:]...)
 	leaf.values = append(leaf.values[:i], leaf.values[i+1:]...)
-	leaf.dirty = true
 	return leaf, true
 }
 
@@ -124,10 +121,10 @@ func (t *btree) splitLeaf(leaf *node) {
 	right := &node{
 		leaf:   true,
 		id:     t.nextPageID,
+		name:   pageKey(t.nextPageID),
 		keys:   append([]string(nil), leaf.keys[mid:]...),
 		values: append([][]byte(nil), leaf.values[mid:]...),
 		next:   leaf.next,
-		dirty:  true,
 	}
 	for i := range right.keys {
 		right.bytes += recordBytes(right.keys[i], right.values[i])
@@ -136,7 +133,6 @@ func (t *btree) splitLeaf(leaf *node) {
 	leaf.values = leaf.values[:mid]
 	leaf.bytes -= right.bytes
 	leaf.next = right
-	leaf.dirty = true
 	t.leaves++
 	t.insertIntoParent(leaf, right.keys[0], right)
 }

@@ -48,12 +48,12 @@ type Store struct {
 	tree *btree
 	// cache tracks which leaf pages are resident; eviction of a dirty
 	// page queues a background reconciliation write.
-	cache *kvstore.LRU
+	cache *kvstore.LRU[int64]
 	res   *kvstore.Residency
 
-	// pageDirty tracks dirty leaf pages by page key; eviction callbacks
+	// pageDirty tracks dirty leaf pages by page id; eviction callbacks
 	// consult it to decide whether a reconciliation write is needed.
-	pageDirty map[string]bool
+	pageDirty map[int64]bool
 
 	bg             []kvstore.BackgroundTask
 	evictionWrites int64
@@ -83,24 +83,24 @@ func New(cfg Config) *Store {
 	s := &Store{
 		cfg:   cfg,
 		tree:  newBtree(cfg.LeafPageBytes, cfg.InnerFanout),
-		cache: kvstore.NewLRU(cfg.CacheBytes),
+		cache: kvstore.NewLRU[int64](cfg.CacheBytes),
 		res:   kvstore.NewResidency(cfg.LLCBytes),
 	}
-	s.cache.OnEvict = func(key string, size int64) {
+	s.cache.OnEvict = func(id int64, size int64) {
 		// Dirty pages are reconciled to the device on eviction. We do
-		// not track the node pointer here; the page-id key carries the
-		// dirty bit in pageDirty.
-		if s.pageDirty[key] {
-			delete(s.pageDirty, key)
+		// not track the node pointer here; pageDirty carries the dirty
+		// bit by page id.
+		if s.pageDirty[id] {
+			delete(s.pageDirty, id)
 			s.evictionWrites++
 			s.bg = append(s.bg, kvstore.BackgroundTask{
-				Desc:      "evict+reconcile " + key,
+				Desc:      "evict+reconcile " + pageKey(id),
 				Cost:      workload.ReadBytes(workload.DRAM, size),
 				SSDWrites: int(size/4096) + 1,
 			})
 		}
 	}
-	s.pageDirty = map[string]bool{}
+	s.pageDirty = map[int64]bool{}
 	return s
 }
 
@@ -132,19 +132,26 @@ func (s *Store) DrainBackground() []kvstore.BackgroundTask {
 	return out
 }
 
+// pageKey names a page; a leaf formats its name once, when created.
 func pageKey(id int64) string { return fmt.Sprintf("p%08d", id) }
+
+// Residency tags: leaf pages and records are distinct lines in the LLC
+// model.
+const (
+	tagRecord kvstore.Tag = iota
+	tagPage
+)
 
 // touchPage charges a leaf page access: resident pages cost memory reads,
 // faults cost a device read plus insertion.
 func (s *Store) touchPage(n *node, cost *workload.Cost, ssdReads *int) {
-	key := pageKey(n.id)
 	size := n.bytes
 	if size < 512 {
 		size = 512
 	}
-	if s.cache.Touch(key, size) {
+	if s.cache.Touch(n.id, size) {
 		// Page header + binary search lines, residency-modeled.
-		cost.Add(s.res.TouchRecord(key, 256, false))
+		cost.Add(s.res.TouchRecord(tagPage, n.name, 256, false))
 		return
 	}
 	*ssdReads++
@@ -169,7 +176,7 @@ func (s *Store) Read(key string) kvstore.Result {
 	if !ok {
 		return kvstore.Result{Found: false, Cost: cost, SSDReads: ssdReads}
 	}
-	cost.Add(s.res.TouchRecord("r:"+key, int64(len(v)), false))
+	cost.Add(s.res.TouchRecord(tagRecord, key, int64(len(v)), false))
 	cost.Add(workload.WriteBytes(workload.L2, int64(len(v))))
 	cost.Add(workload.Compute(float64(len(v)) / 8))
 	return kvstore.Result{Found: true, Value: v, Cost: cost, SSDReads: ssdReads}
@@ -194,7 +201,7 @@ func (s *Store) write(key string, value []byte) kvstore.Result {
 	s.touchPage(preLeaf, &cost, &ssdReads)
 
 	leaf, isNew, split := s.tree.set(key, value)
-	s.pageDirty[pageKey(leaf.id)] = true
+	s.pageDirty[leaf.id] = true
 	if isNew {
 		s.count++
 	}
@@ -203,15 +210,15 @@ func (s *Store) write(key string, value []byte) kvstore.Result {
 	recBytes := recordBytes(key, value)
 	cost.Add(workload.Compute(150))
 	cost.Add(workload.WriteBytes(workload.L2, recBytes))
-	cost.Add(s.res.TouchRecord("r:"+key, int64(len(value)), true))
+	cost.Add(s.res.TouchRecord(tagRecord, key, int64(len(value)), true))
 
 	if split {
 		// Split copies half the page and dirties the new sibling.
 		cost.Add(workload.ReadBytes(workload.DRAM, s.cfg.LeafPageBytes/2))
 		cost.Add(workload.WriteBytes(workload.DRAM, s.cfg.LeafPageBytes/2))
 		if leaf.next != nil {
-			s.pageDirty[pageKey(leaf.next.id)] = true
-			s.cache.Touch(pageKey(leaf.next.id), leaf.next.bytes)
+			s.pageDirty[leaf.next.id] = true
+			s.cache.Touch(leaf.next.id, leaf.next.bytes)
 		}
 	}
 
@@ -232,8 +239,8 @@ func (s *Store) Delete(key string) kvstore.Result {
 	_, ok := s.tree.delete(key)
 	if ok {
 		s.count--
-		s.pageDirty[pageKey(leaf.id)] = true
-		s.res.Invalidate("r:" + key)
+		s.pageDirty[leaf.id] = true
+		s.res.Invalidate(tagRecord, key)
 	}
 	return kvstore.Result{Found: ok, Cost: cost, SSDReads: ssdReads}
 }
@@ -251,7 +258,7 @@ func (s *Store) Scan(start string, count int) kvstore.Result {
 		s.touchPage(leaf, &cost, &ssdReads)
 		for ; i < len(leaf.keys) && visited < count; i++ {
 			v := leaf.values[i]
-			cost.Add(s.res.TouchRecord("r:"+leaf.keys[i], int64(len(v)), false))
+			cost.Add(s.res.TouchRecord(tagRecord, leaf.keys[i], int64(len(v)), false))
 			cost.Add(workload.Compute(float64(len(v)) / 16))
 			visited++
 		}
@@ -268,11 +275,10 @@ func (s *Store) checkpoint() {
 	var dirtyBytes int64
 	pages := 0
 	s.tree.walkLeaves(func(n *node) {
-		if s.pageDirty[pageKey(n.id)] {
+		if s.pageDirty[n.id] {
 			dirtyBytes += n.bytes
 			pages++
-			delete(s.pageDirty, pageKey(n.id))
-			n.dirty = false
+			delete(s.pageDirty, n.id)
 		}
 	})
 	if pages == 0 {

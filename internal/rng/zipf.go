@@ -1,6 +1,9 @@
 package rng
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Zipf draws integers in [0, n) with a Zipfian frequency distribution,
 // using the rejection-inversion method of Gray et al. as popularized by the
@@ -33,14 +36,58 @@ func NewZipf(src *Source, n int64, theta float64) *Zipf {
 	return z
 }
 
-// zetaStatic computes the generalized harmonic number sum_{i=1..n} 1/i^theta.
+// zetaStatic computes the generalized harmonic number sum_{i=1..n} 1/i^theta
+// by sequential summation. Results are memoised for the life of the
+// process, and for theta = 0.99 the sum resumes from the nearest
+// checkpoint at or below n (zeta_table.go). A checkpoint is the exact
+// float64 partial sum of the same loop, so resuming repeats the same
+// additions and the result is bit-identical to summing from 1.
 func zetaStatic(n int64, theta float64) float64 {
-	sum := 0.0
-	for i := int64(1); i <= n; i++ {
+	key := zetaKey{n, theta}
+	zetaMu.Lock()
+	sum, ok := zetaMemo[key]
+	zetaMu.Unlock()
+	if ok {
+		return sum
+	}
+	i := int64(1)
+	if theta == zetaCheckpointTheta {
+		if c := min(n>>zetaCheckpointShift, int64(len(zetaCheckpoints))); c > 0 {
+			sum, i = zetaCheckpoints[c-1], c<<zetaCheckpointShift+1
+		}
+	}
+	sum = zetaSum(sum, i, n, theta)
+	zetaMu.Lock()
+	zetaMemo[key] = sum
+	zetaMu.Unlock()
+	return sum
+}
+
+// zetaSum adds 1/i^theta for i = from..to onto sum, in order.
+func zetaSum(sum float64, from, to int64, theta float64) float64 {
+	for i := from; i <= to; i++ {
 		sum += 1 / math.Pow(float64(i), theta)
 	}
 	return sum
 }
+
+type zetaKey struct {
+	n     int64
+	theta float64
+}
+
+var (
+	zetaMu   sync.Mutex
+	zetaMemo = map[zetaKey]float64{}
+)
+
+// Checkpoints of the theta = 0.99 sum: zetaCheckpoints[k] is the sum of
+// the first (k+1)<<zetaCheckpointShift terms.
+const (
+	zetaCheckpointTheta = 0.99
+	zetaCheckpointShift = 16
+	zetaCheckpointCount = 32 // up to 2^21 terms
+)
 
 // N returns the size of the item space.
 func (z *Zipf) N() int64 { return z.n }
