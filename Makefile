@@ -14,13 +14,15 @@ vet:
 # the telemetry record path, the daemon that drives it, the worker pool,
 # the concurrent experiment engine (heavy serial simulations skip
 # themselves under -race; the engine's concurrency tests still run), the
-# YCSB value pool's concurrent first use, the stores it feeds, and the
-# process-wide Zipf normaliser memo.
+# YCSB value pool's concurrent first use, the stores it feeds, the
+# process-wide Zipf normaliser memo, and holmesd's HTTP endpoints served
+# while a simulation writes the telemetry they read.
 check:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race ./internal/telemetry/... ./internal/core/... ./internal/runner/... ./internal/experiments/... ./internal/cluster/... ./internal/faults/... \
-		./internal/ycsb/... ./internal/lcservice/... ./internal/traffic/... ./internal/kvstore/... ./internal/rng/...
+		./internal/ycsb/... ./internal/lcservice/... ./internal/traffic/... ./internal/kvstore/... ./internal/rng/... \
+		./cmd/holmesd/...
 
 # Interval-batching equivalence gate: the per-scenario differential
 # suite (internal/machine/equiv) plus the registry-wide test over every

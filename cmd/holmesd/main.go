@@ -15,8 +15,9 @@
 // /spans (JSON causal spans; ?format=chrome for a Chrome trace-event
 // export), /timeline (the span log as an indented causal text tree),
 // /alerts (JSON burn-rate alert transitions) and /debug/holmes (JSON
-// bundle). The server keeps running after the run so the final state can
-// be inspected; interrupt to exit.
+// bundle), plus the Go runtime profiles under /debug/pprof/ for profiling
+// the simulator itself. The server keeps running after the run so the
+// final state can be inspected; interrupt to exit.
 package main
 
 import (
@@ -24,6 +25,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"time"
@@ -69,8 +71,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}
-		go func() { _ = http.Serve(ln, set.Handler()) }()
-		fmt.Printf("telemetry: http://%s/metrics /events /spans /timeline /alerts /debug/holmes\n", ln.Addr())
+		go func() { _ = http.Serve(ln, handler(set)) }()
+		fmt.Printf("telemetry: http://%s/metrics /events /spans /timeline /alerts /debug/holmes /debug/pprof/\n", ln.Addr())
 	}
 
 	fmt.Printf("holmesd: %s + %s workload-%s for %v of simulated time (seed %d)\n",
@@ -104,4 +106,17 @@ func main() {
 		signal.Notify(sig, os.Interrupt)
 		<-sig
 	}
+}
+
+// handler serves the telemetry endpoints and, beside them, the runtime
+// profiles of this process under /debug/pprof/.
+func handler(set *telemetry.Set) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/", set.Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

@@ -18,7 +18,7 @@ import (
 // while a colocation scenario is driving records into the set.
 func TestLiveEndpointsDuringRun(t *testing.T) {
 	set := telemetry.NewSet()
-	srv := httptest.NewServer(set.Handler())
+	srv := httptest.NewServer(handler(set))
 	defer srv.Close()
 
 	cfg := experiments.DefaultColocation("redis", "a", experiments.Holmes)
@@ -163,6 +163,20 @@ func TestLiveEndpointsDuringRun(t *testing.T) {
 	if len(alerts.Alerts) != 0 {
 		t.Fatalf("single-daemon run has no burn engine, yet /alerts has %d entries",
 			len(alerts.Alerts))
+	}
+}
+
+// TestPprofBesideTelemetry checks that the daemon's server exposes the Go
+// runtime profiles next to the telemetry endpoints without shadowing them.
+func TestPprofBesideTelemetry(t *testing.T) {
+	srv := httptest.NewServer(handler(telemetry.NewSet()))
+	defer srv.Close()
+	if index := httpGet(t, srv.URL+"/debug/pprof/"); !strings.Contains(index, "goroutine") {
+		t.Fatalf("/debug/pprof/ index lists no goroutine profile:\n%.400s", index)
+	}
+	httpGet(t, srv.URL+"/debug/pprof/heap?debug=1")
+	if ct := head(t, srv.URL+"/metrics"); !strings.HasPrefix(ct, "text/plain") {
+		t.Fatalf("/metrics content-type = %q behind the pprof mux", ct)
 	}
 }
 

@@ -658,7 +658,7 @@ func (d *Daemon) watchdogScan(nowNs int64) {
 	if maxVPI <= 0 {
 		maxVPI = 100 * d.cfg.E
 	}
-	for _, lc := range d.reserved.CPUs() {
+	for lc := d.reserved.Next(0); lc >= 0; lc = d.reserved.Next(lc + 1) {
 		vpi, usage := d.mon.VPI(lc), d.mon.Usage(lc)
 		if usage < watchdogBusyFloor {
 			// An idle CPU is evidence of nothing: reset the streak so a

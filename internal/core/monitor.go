@@ -94,17 +94,30 @@ func (mon *Monitor) Sample(nowNs int64) {
 		alpha = 1
 	}
 	for p := range mon.vpiGroups {
-		v := mon.vpiGroups[p].Sample()
+		g := mon.vpiGroups[p]
+		v, ran := 0.0, g.Ran()
+		if ran {
+			v = g.Sample()
+		}
 		if mon.cfg.CounterFault != nil {
 			// Fault injection: everything downstream — the daemon's
 			// sibling decisions, the EWMA, the cluster heartbeat — sees
-			// only what the (possibly lying) counters report.
+			// only what the (possibly lying) counters report. It runs
+			// for every CPU, ran or not, so its RNG draws don't depend
+			// on the skip below.
 			v = mon.cfg.CounterFault.FilterVPI(p, nowNs, v)
 		}
 		mon.vpi[p] = v
-		busy := mon.m.BusyCycles(p)
-		mon.usage[p] = clamp01((busy - mon.prevBusy[p]) / cycleBudget)
-		mon.prevBusy[p] = busy
+		// A CPU that has not run since the last sample has bitwise
+		// unchanged busy cycles (see perf.VPIGroup.Ran), so the full
+		// expression would compute clamp01(+0/cycleBudget) == +0.
+		usage := 0.0
+		if ran {
+			busy := mon.m.BusyCycles(p)
+			usage = clamp01((busy - mon.prevBusy[p]) / cycleBudget)
+			mon.prevBusy[p] = busy
+		}
+		mon.usage[p] = usage
 		mon.smoothed[p] += alpha * (mon.usage[p] - mon.smoothed[p])
 		mon.smoothedVPI[p] += alpha * (mon.vpi[p] - mon.smoothedVPI[p])
 		c := mon.coreIndex[p]

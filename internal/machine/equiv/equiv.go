@@ -2,10 +2,10 @@
 // machine's batched simulation paths. It runs a scenario twice — once
 // with Config.IntervalBatching on, once off — on otherwise identical
 // machines, snapshots everything externally observable (clock, per-CPU
-// counters, busy cycles, per-thread consumed cycles and completions,
-// completion timestamps, kernel tick/migration/steal accounting, final
-// runqueue shape, and the telemetry registry's full Prometheus dump) and
-// diffs the snapshots field by field.
+// counters, busy cycles and exec counts, per-thread consumed cycles and
+// completions, completion timestamps, kernel tick/migration/steal
+// accounting, final runqueue shape, and the telemetry registry's full
+// Prometheus dump) and diffs the snapshots field by field.
 //
 // The contract under test is strict bit-identity, not tolerance-based
 // closeness: the interval-batched path claims to perform the identical
@@ -76,6 +76,7 @@ type Snapshot struct {
 	TickCount    int
 	Counters     []hpe.Counters
 	BusyCycles   []float64
+	ExecCounts   []uint64  // machine.ExecCount per CPU
 	ThreadCycles []float64 // per kernel thread, in PID/TID order
 	ThreadItems  []int64
 	Records      []string // "tag@now" in occurrence order
@@ -125,6 +126,7 @@ func Run(s Scenario, batching bool) Snapshot {
 	for p := 0; p < n; p++ {
 		snap.Counters = append(snap.Counters, m.Counters(p))
 		snap.BusyCycles = append(snap.BusyCycles, m.BusyCycles(p))
+		snap.ExecCounts = append(snap.ExecCounts, m.ExecCount(p))
 		snap.QueueLens = append(snap.QueueLens, k.QueueLen(p))
 	}
 	for _, proc := range k.Processes() {
@@ -162,6 +164,8 @@ func Diff(a, b Snapshot) string {
 		func(x, y hpe.Counters) bool { return x == y })
 	diffSlices(&d, "cpu busy cycles", a.BusyCycles, b.BusyCycles,
 		func(x, y float64) bool { return x == y })
+	diffSlices(&d, "cpu exec counts", a.ExecCounts, b.ExecCounts,
+		func(x, y uint64) bool { return x == y })
 	diffSlices(&d, "queue lens", a.QueueLens, b.QueueLens,
 		func(x, y int) bool { return x == y })
 	diffSlices(&d, "thread cycles", a.ThreadCycles, b.ThreadCycles,

@@ -1,6 +1,7 @@
 package equiv
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -41,5 +42,18 @@ func TestRunIsDeterministic(t *testing.T) {
 		if d := Diff(a, b); d != "" {
 			t.Errorf("batching=%v: repeated run diverged:\n%s", batching, d)
 		}
+	}
+}
+
+// TestDiffReportsExecCounts checks that the per-CPU exec counts take part
+// in the comparison: the monitor's sample skip reads them, so batching on
+// and off must agree on them as strictly as on the counters.
+func TestDiffReportsExecCounts(t *testing.T) {
+	a := Run(Scenarios()[0], true)
+	b := a
+	b.ExecCounts = append([]uint64(nil), a.ExecCounts...)
+	b.ExecCounts[0]++
+	if d := Diff(a, b); !strings.Contains(d, "cpu exec counts[0]") {
+		t.Fatalf("exec count divergence not reported; diff:\n%s", d)
 	}
 }

@@ -51,6 +51,10 @@ type lcpu struct {
 	counters hpe.Counters
 	// busyCycles accumulates effective cycles executed (for utilization).
 	busyCycles float64
+	// execs counts exec calls on this CPU. exec and the attribute calls
+	// it makes are the only writers of counters and busyCycles, so an
+	// unchanged count proves both are bitwise unchanged.
+	execs uint64
 	// Previous-tick activity fractions, read by the sibling this tick.
 	memDuty float64 // fraction of tick stalled on memory
 	euDuty  float64 // fraction of tick executing compute
@@ -293,6 +297,13 @@ func (m *Machine) Counters(p int) hpe.Counters { return m.lcpus[p].counters }
 
 // BusyCycles returns the cumulative effective cycles executed on p.
 func (m *Machine) BusyCycles(p int) float64 { return m.lcpus[p].busyCycles }
+
+// ExecCount returns how many times logical CPU p has executed a thread
+// for (part of) a tick. Counters(p) and BusyCycles(p) change only inside
+// such an execution, so when ExecCount(p) has not moved between two
+// observations both are bitwise unchanged; the reverse does not hold (a
+// thread may block without consuming a cycle).
+func (m *Machine) ExecCount(p int) uint64 { return m.lcpus[p].execs }
 
 // Sibling returns the hyperthread sibling of logical CPU p.
 func (m *Machine) Sibling(p int) int { return m.siblingOf[p] }
@@ -637,6 +648,7 @@ func (m *Machine) exec(p int, t *Thread) {
 	// Duty-cycle accumulation happens inside attribute; here we only
 	// account total busy time for utilization and per-thread usage.
 	c.busyCycles += consumed
+	c.execs++
 	t.ConsumedCycles += consumed
 }
 

@@ -120,6 +120,9 @@ type Group struct {
 	cpu    int
 	events []hpe.Event
 	base   []float64
+	// execs is the CPU's machine.ExecCount when base was last taken. While
+	// it is unchanged the counters equal base bitwise.
+	execs uint64
 	// scratch backs sampleDelta so the monitor's per-interval read — one
 	// call per logical CPU every 100 µs — does not allocate.
 	scratch []float64
@@ -151,6 +154,7 @@ func (g *Group) Reset() {
 	for i, e := range g.events {
 		g.base[i] = snap.Read(e)
 	}
+	g.execs = g.m.ExecCount(g.cpu)
 }
 
 // Read returns the per-event deltas since the last Reset, in open order.
@@ -182,6 +186,7 @@ func (g *Group) sampleDelta() []float64 {
 		g.scratch[i] = v - g.base[i]
 		g.base[i] = v
 	}
+	g.execs = g.m.ExecCount(g.cpu)
 	return g.scratch
 }
 
@@ -203,8 +208,14 @@ func OpenVPI(m *machine.Machine, event hpe.Event, cpu int) (*VPIGroup, error) {
 
 // Sample returns the VPI over the interval since the previous Sample (or
 // open) and resets the interval. With no retired memory instructions it
-// returns 0.
+// returns 0. When the CPU has not run since the previous sample (see Ran)
+// the counters still equal the group's base bitwise, so the read is
+// skipped: every delta would be +0, the denominator 0, and the result 0 —
+// exactly what is returned.
 func (v *VPIGroup) Sample() float64 {
+	if !v.Ran() {
+		return 0
+	}
 	vals := v.g.sampleDelta()
 	den := vals[1] + vals[2]
 	if den <= 0 {
@@ -212,6 +223,13 @@ func (v *VPIGroup) Sample() float64 {
 	}
 	return vals[0] / den
 }
+
+// Ran reports whether the CPU executed anything since the previous Sample
+// (or open), by comparing machine.ExecCount with the count recorded at
+// that read. When it did not, the CPU's counters and busy cycles are
+// bitwise unchanged, so a caller may skip its own per-CPU reads of them
+// too. It is cheap enough to inline into the monitor's per-CPU loop.
+func (v *VPIGroup) Ran() bool { return v.g.m.ExecCount(v.g.cpu) != v.g.execs }
 
 // CPU returns the observed logical CPU.
 func (v *VPIGroup) CPU() int { return v.g.cpu }
