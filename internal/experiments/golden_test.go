@@ -95,11 +95,23 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
-		t.Fatalf("%v (run `go test ./internal/experiments -run TestColocationGolden -update` to create)", err)
+		t.Fatalf("%v (rerun the test with -update to create it)", err)
 	}
-	if got != string(want) {
-		t.Fatalf("run drifted from %s.\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
+	if got == string(want) {
+		return
 	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	line := 0
+	for line < len(gl) && line < len(wl) && gl[line] == wl[line] {
+		line++
+	}
+	at := func(ls []string) string {
+		if line < len(ls) {
+			return ls[line]
+		}
+		return "<end of text>"
+	}
+	t.Fatalf("run drifted from %s at line %d:\n got: %s\nwant: %s", golden, line+1, at(gl), at(wl))
 }
 
 // TestColocationGolden pins RunColocation's output across commits for
