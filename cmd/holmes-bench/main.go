@@ -5,15 +5,17 @@
 //	holmes-bench list
 //	holmes-bench [-full] [-seed N] <experiment-id>...
 //	holmes-bench [-full] [-seed N] all
+//	holmes-bench [-full] [-seed N] report
 //
 // Experiment ids follow the paper: fig2, fig3, table1, fig4, fig5,
 // fig7..fig14, table3, table4, overhead — plus extensions: ablations,
-// cluster (multi-node placement) and chaos (deterministic fault
-// injection with and without graceful degradation). The default profile
-// runs time-compressed windows that finish in seconds to minutes; -full
-// uses the paper-faithful windows. -parallel N fans independent simulation
-// runs across N workers; every run derives its seed from (seed, run key),
-// so the output is byte-identical at any parallelism.
+// cluster, chaos, traffic, storm and scale. The last four end in a PASS,
+// FAIL or SKIPPED verdict, and holmes-bench exits 1 after printing if any
+// requested verdict is not PASS. The default profile runs time-compressed
+// windows that finish in seconds to minutes; -full uses the
+// paper-faithful windows. -parallel N fans independent simulation runs
+// across N workers; every run derives its seed from (seed, run key), so
+// the output is byte-identical at any parallelism.
 package main
 
 import (
@@ -25,7 +27,6 @@ import (
 	"strings"
 
 	"github.com/holmes-colocation/holmes/internal/experiments"
-	"github.com/holmes-colocation/holmes/internal/machine"
 	"github.com/holmes-colocation/holmes/internal/runner"
 	"github.com/holmes-colocation/holmes/internal/telemetry"
 )
@@ -44,14 +45,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	outDir := fs.String("o", "", "also write each experiment's output to <dir>/<id>.txt")
 	telemetryOut := fs.String("telemetry-out", "", "stream scheduler decision events to this JSONL file")
 	traceOut := fs.String("trace-out", "", "write recorded daemon spans to this file (.jsonl = one span per line, otherwise Chrome trace-event JSON)")
-	noBatch := fs.Bool("no-interval-batch", false,
-		"disable the interval-batched loaded path (escape hatch; output is bit-identical either way)")
 	fs.Usage = func() { usage(stderr) }
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *noBatch {
-		machine.SetDefaultIntervalBatching(false)
 	}
 
 	fail := func(format string, a ...any) int {
@@ -108,7 +104,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if rest[0] == "report" {
+	ids := rest
+	var html *os.File
+	switch rest[0] {
+	case "all":
+		ids = experiments.IDs()
+	case "report":
+		ids = experiments.ReportIDs()
 		path := "holmes-report.html"
 		if *outDir != "" {
 			path = filepath.Join(*outDir, "holmes-report.html")
@@ -117,18 +119,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail("%v", err)
 		}
-		if err := experiments.WriteHTMLReport(f, opts); err != nil {
-			f.Close()
-			return fail("%v", err)
-		}
-		f.Close()
-		fmt.Fprintln(stdout, "wrote", path)
-		return 0
-	}
-
-	ids := rest
-	if rest[0] == "all" {
-		ids = experiments.IDs()
+		defer f.Close()
+		html = f
 	}
 	for _, id := range ids {
 		if _, ok := reg[id]; !ok {
@@ -136,15 +128,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	// RunIDs executes up to -parallel experiments concurrently and returns
-	// outputs aligned with ids, so printing stays in request order.
-	outs, err := experiments.RunIDs(opts, ids)
+	// runResults executes up to -parallel experiments concurrently and
+	// returns results aligned with ids, so printing stays in request order.
+	results, err := runResults(opts, ids)
 	if err != nil {
 		return fail("%v", err)
 	}
+	if html != nil {
+		if err := experiments.WriteHTMLReport(html, opts, results); err != nil {
+			return fail("%v", err)
+		}
+		if err := html.Close(); err != nil {
+			return fail("%v", err)
+		}
+		fmt.Fprintln(stdout, "wrote", html.Name())
+		return 0
+	}
+	code := 0
 	for i, id := range ids {
-		fmt.Fprintf(stdout, "############ %s: %s ############\n%s\n", id, reg[id].Title, outs[i])
-		save(id, outs[i])
+		out := results[i].Render()
+		fmt.Fprintf(stdout, "############ %s: %s ############\n%s\n", id, reg[id].Title, out)
+		save(id, out)
+		if v, ok := results[i].(verdicter); ok && v.Verdict().Status != experiments.Pass {
+			fmt.Fprintf(stderr, "holmes-bench: %s verdict %s\n", id, v.Verdict())
+			code = 1
+		}
 	}
 	if *traceOut != "" {
 		spans := set.Spans.Snapshot()
@@ -153,8 +161,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, "trace: %d spans -> %s\n", len(spans), *traceOut)
 	}
-	return 0
+	return code
 }
+
+// verdicter is a result that judges its own claim: chaos, traffic, storm
+// and scale.
+type verdicter interface {
+	Verdict() experiments.Verdict
+}
+
+// runResults is experiments.RunResults; tests substitute hand-built
+// results to drive the exit status.
+var runResults = experiments.RunResults
 
 // writeSpans exports spans by extension: .jsonl as one span per line,
 // anything else as Chrome trace-event JSON (loadable in Perfetto).
@@ -185,9 +203,9 @@ Usage:
   holmes-bench [flags] all              run everything in paper order
   holmes-bench [flags] report           write an HTML report with SVG figures
 
-Beyond the paper's figures, "cluster" compares multi-node placement
-policies and "chaos" runs the deterministic fault-injection experiment
-(fault-free vs faults-with-degradation vs faults-without).
+Beyond the paper's figures: ablations, cluster, chaos, traffic, storm and
+scale. The last four end in a PASS, FAIL or SKIPPED verdict; after
+printing, holmes-bench exits 1 if any requested verdict is not PASS.
 
 Flags:
   -full                paper-faithful measurement windows (minutes of simulated time)
@@ -200,7 +218,5 @@ Flags:
   -trace-out FILE      write recorded daemon spans to FILE (.jsonl = one
                        span per line, otherwise Chrome trace-event JSON
                        loadable in Perfetto / chrome://tracing)
-  -no-interval-batch   disable the interval-batched loaded simulation path
-                       (escape hatch; output is bit-identical either way)
 `)
 }

@@ -20,7 +20,9 @@
 //
 // Every run is deterministic: per-node seeds derive from (seed, node ID),
 // so -parallel N changes wall-clock time, never the output. Fault
-// schedules are equally seed-derived, so chaos runs replay exactly.
+// schedules are equally seed-derived, so chaos runs replay exactly. With
+// a traffic topology attached, the command exits 1 when the request
+// accounting identity does not hold.
 package main
 
 import (
@@ -32,7 +34,6 @@ import (
 
 	"github.com/holmes-colocation/holmes/internal/cluster"
 	"github.com/holmes-colocation/holmes/internal/faults"
-	"github.com/holmes-colocation/holmes/internal/machine"
 	"github.com/holmes-colocation/holmes/internal/obs"
 	"github.com/holmes-colocation/holmes/internal/report"
 	"github.com/holmes-colocation/holmes/internal/runner"
@@ -76,14 +77,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	traceOut := fs.String("trace-out", "", "write the merged span timeline to FILE (.jsonl = one span per line, otherwise Chrome trace-event JSON)")
 	flightOut := fs.String("flight-out", "", "write the flight-recorder post-mortem bundle to FILE")
 	dashboard := fs.Bool("dashboard", false, "print the fleet observability dashboard after the run")
-	noBatch := fs.Bool("no-interval-batch", false,
-		"disable the interval-batched loaded path (escape hatch; output is bit-identical either way)")
 	fs.Usage = func() { usage(stderr) }
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *noBatch {
-		machine.SetDefaultIntervalBatching(false)
 	}
 
 	fail := func(format string, a ...any) int {
@@ -298,6 +294,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("-trace-out/-flight-out need a single placement policy, not -placer both")
 	}
 	needObs := *traceOut != "" || *flightOut != "" || *dashboard
+	code := 0
 	for i, p := range placers {
 		spec.Placer = p
 		var plane *obs.Plane
@@ -305,7 +302,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			plane = obs.NewPlane(spec.Nodes, 0)
 		}
 		opt.Obs = plane
-		res, err := cluster.Run(spec, opt)
+		res, err := runCluster(spec, opt)
 		if err != nil {
 			return fail("%v", err)
 		}
@@ -332,9 +329,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "flight recorder: %d spans, %d alerts -> %s\n",
 				len(bundle.Spans), len(bundle.Alerts), *flightOut)
 		}
+		if res.Traffic != nil && !res.Traffic.Conserved {
+			fmt.Fprintln(stderr, "holmes-cluster: request accounting not conserved")
+			code = 1
+		}
 	}
-	return 0
+	return code
 }
+
+// runCluster is cluster.Run; tests wrap it to falsify the traffic
+// accounting the exit status checks.
+var runCluster = cluster.Run
 
 // writeSpans exports spans by extension: .jsonl as one span per line,
 // anything else as Chrome trace-event JSON (loadable in Perfetto).
@@ -413,8 +418,8 @@ Flags:
                     spans, burn-rate alerts, fleet series) to FILE
   -dashboard        print the fleet observability dashboard (sparkline
                     series, alert log, span totals) after the run
-  -no-interval-batch
-                    disable the interval-batched loaded simulation path
-                    (escape hatch; output is bit-identical either way)
+
+With a traffic topology attached, the exit status is 1 when the request
+accounting identity does not hold.
 `)
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/holmes-colocation/holmes/internal/cluster"
 	"github.com/holmes-colocation/holmes/internal/telemetry"
 )
 
@@ -340,5 +341,31 @@ func TestTopologyFileFlag(t *testing.T) {
 	code, _, stderr = runCLI("-topology", bad)
 	if code == 0 || !strings.Contains(stderr, "at least one replicated service") {
 		t.Fatalf("bad topology accepted: exit %d, stderr %q", code, stderr)
+	}
+}
+
+// TestNonConservedTrafficFails falsifies a real traffic run's accounting
+// identity: the report still prints, and the exit status turns to 1.
+func TestNonConservedTrafficFails(t *testing.T) {
+	defer func(prev func(cluster.Spec, cluster.RunOptions) (*cluster.Result, error)) {
+		runCluster = prev
+	}(runCluster)
+	runCluster = func(spec cluster.Spec, opt cluster.RunOptions) (*cluster.Result, error) {
+		res, err := cluster.Run(spec, opt)
+		if err == nil {
+			res.Traffic.Conserved = false
+		}
+		return res, err
+	}
+	code, stdout, stderr := runCLI("-nodes", "3", "-traffic", "30000",
+		"-warmup", "0.3", "-duration", "1", "-batch-pods", "0", "-parallel", "4")
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stderr: %s", code, stderr)
+	}
+	if !strings.Contains(stdout, "request accounting") {
+		t.Fatalf("report not printed before failing:\n%s", stdout)
+	}
+	if !strings.Contains(stderr, "request accounting not conserved") {
+		t.Fatalf("stderr %q does not explain the failure", stderr)
 	}
 }

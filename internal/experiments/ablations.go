@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/holmes-colocation/holmes/internal/core"
 	"github.com/holmes-colocation/holmes/internal/hpe"
@@ -199,22 +198,25 @@ func (r AblationIntervalResult) Render() string {
 	return out
 }
 
-// renderAblations is the combined registry entry.
-func renderAblations(o Options) (string, error) {
-	var b strings.Builder
-	cps := RunAblationCPS(o.sweepWindow(), o.Seed)
-	b.WriteString(cps.Render())
-	b.WriteByte('\n')
-	met, err := RunAblationMetric(o.colocDuration(), o.Seed, o.workers())
-	if err != nil {
-		return "", err
+// AblationsResult is the registry's combined ablations entry.
+type AblationsResult struct {
+	CPS      AblationCPS
+	Metric   AblationMetricResult
+	Interval AblationIntervalResult
+}
+
+// RunAblations runs the three studies at the profile's windows.
+func RunAblations(o Options) (AblationsResult, error) {
+	out := AblationsResult{CPS: RunAblationCPS(o.sweepWindow(), o.Seed)}
+	var err error
+	if out.Metric, err = RunAblationMetric(o.colocDuration(), o.Seed, o.workers()); err != nil {
+		return out, err
 	}
-	b.WriteString(met.Render())
-	b.WriteByte('\n')
-	iv, err := RunAblationInterval(o.colocDuration()/2, o.Seed, o.workers())
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(iv.Render())
-	return b.String(), nil
+	out.Interval, err = RunAblationInterval(o.colocDuration()/2, o.Seed, o.workers())
+	return out, err
+}
+
+// Render prints the three studies in turn.
+func (r AblationsResult) Render() string {
+	return r.CPS.Render() + "\n" + r.Metric.Render() + "\n" + r.Interval.Render()
 }

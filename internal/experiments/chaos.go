@@ -141,6 +141,23 @@ func (r *ChaosResult) Flight(reason string) *obs.FlightBundle {
 	return obs.CaptureFlight(r.DegradedObs, reason, obs.DefaultFlightSpans)
 }
 
+// Verdict judges graceful degradation: enough measured queries, SLO
+// violations within the bound, and burn-rate alerts as expected, checked
+// in that order.
+func (r *ChaosResult) Verdict() Verdict {
+	switch {
+	case !r.DegradedMeasured():
+		return Verdict{Fail, fmt.Sprintf("only %d completed queries, need >= %d for a verdict",
+			r.Degraded.TotalQueries(), chaosMinQueries)}
+	case !r.DegradedWithinBound():
+		return Verdict{Status: Fail}
+	case !r.AlertsAsExpected():
+		return Verdict{Fail, fmt.Sprintf("burn-rate alerts wrong: degraded %d page, clean %d page",
+			r.Degraded.PageAlerts, r.Clean.PageAlerts)}
+	}
+	return Verdict{Status: Pass}
+}
+
 // Render prints the three arms plus the deltas and verdicts.
 func (r *ChaosResult) Render() string {
 	var b strings.Builder
@@ -154,16 +171,7 @@ func (r *ChaosResult) Render() string {
 		r.Clean.MeanP99/1e3, r.Degraded.MeanP99/1e3, r.Control.MeanP99/1e3,
 		100*r.Clean.ClusterUtil, 100*r.Degraded.ClusterUtil, 100*r.Control.ClusterUtil,
 		r.Clean.BatchCompleted, r.Degraded.BatchCompleted, r.Control.BatchCompleted)
-	verdict := "PASS"
-	if !r.DegradedMeasured() {
-		verdict = fmt.Sprintf("FAIL (only %d completed queries, need >= %d for a verdict)",
-			r.Degraded.TotalQueries(), chaosMinQueries)
-	} else if !r.DegradedWithinBound() {
-		verdict = "FAIL"
-	} else if !r.AlertsAsExpected() {
-		verdict = fmt.Sprintf("FAIL (burn-rate alerts wrong: degraded %d page, clean %d page)",
-			r.Degraded.PageAlerts, r.Clean.PageAlerts)
-	}
+	verdict := r.Verdict()
 	fmt.Fprintf(&b, "graceful degradation: SLO violations %.2f%% vs bound %.2f%% (%gx fault-free + %.2fpp): %s\n",
 		100*r.Degraded.SLOViolationRatio, 100*r.SLOBound(),
 		chaosSLOFactor, 100*chaosSLOFloor, verdict)
@@ -180,9 +188,9 @@ func (r *ChaosResult) Render() string {
 	fmt.Fprintf(&b, "burn-rate alerts: clean %d page / degraded %d page, %d ticket / control %d page — %s\n",
 		r.Clean.PageAlerts, r.Degraded.PageAlerts, r.Degraded.TicketAlerts,
 		r.Control.PageAlerts, alerts)
-	if strings.HasPrefix(verdict, "FAIL") {
+	if verdict.Status == Fail {
 		b.WriteString("\n")
-		b.WriteString(r.Flight("chaos verdict " + verdict).Render())
+		b.WriteString(r.Flight("chaos verdict " + verdict.String()).Render())
 	}
 	return b.String()
 }

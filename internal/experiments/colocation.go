@@ -1,8 +1,9 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§2, §3 and §6). Each experiment has a Run function that
-// returns structured results and a renderer that prints the same rows or
-// series the paper reports; cmd/holmes-bench exposes them by id and
-// bench_test.go wraps them as testing.B benchmarks.
+// returns a typed Result whose Render prints the same rows or series the
+// paper reports. The registry is the one place experiments run:
+// cmd/holmes-bench prints its results, lays them out as the HTML report
+// and exits on their verdicts, and the registry goldens pin them.
 //
 // Time compression: the paper's co-location runs last one hour with
 // 60-90 s traffic bursts and ~3 minute batch jobs. The simulated runs

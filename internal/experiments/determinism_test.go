@@ -17,47 +17,11 @@ func skipHeavyUnderRace(t *testing.T) {
 	}
 }
 
-// TestRunIDsDeterministicAcrossParallelism is the determinism contract:
-// every registry experiment must render byte-identical output whether the
-// engine runs serially or fans out across eight workers. Seeds derive
-// from (Options.Seed, run key), never from scheduling, so any divergence
-// here means a run picked up state from a sibling.
-func TestRunIDsDeterministicAcrossParallelism(t *testing.T) {
-	skipHeavyUnderRace(t)
-	ids := IDs()
-	if testing.Short() {
-		// A subset that still spans the engine's fan-out shapes: suite
-		// matrix (fig11), runner sweep (fig13), and a serial micro (fig2).
-		ids = []string{"fig2", "fig11", "fig13"}
-	}
-	base := Options{Seed: 7, Scale: 0.05}
-
-	serialOpts := base
-	serialOpts.Parallel = 1
-	serial, err := RunIDs(serialOpts, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	parOpts := base
-	parOpts.Parallel = 8
-	par, err := RunIDs(parOpts, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for i, id := range ids {
-		if serial[i] != par[i] {
-			t.Errorf("%s: output differs between -parallel 1 and -parallel 8\nserial %d bytes, parallel %d bytes",
-				id, len(serial[i]), len(par[i]))
-		}
-	}
-}
-
 // TestRunIDsRepeatable pins the weaker (but necessary) half of the
 // contract: the same Options produce the same bytes run-to-run.
 func TestRunIDsRepeatable(t *testing.T) {
 	skipHeavyUnderRace(t)
+	t.Parallel()
 	o := Options{Seed: 3, Scale: 0.05, Parallel: 4}
 	ids := []string{"fig13", "table4"}
 	a, err := RunIDs(o, ids)
@@ -118,6 +82,7 @@ func TestSuiteConcurrentGet(t *testing.T) {
 // suite with the same seed — combination by combination.
 func TestSuitePrefetchParallel(t *testing.T) {
 	skipHeavyUnderRace(t)
+	t.Parallel()
 	mk := func(workers int) *Suite {
 		s := NewSuite(150_000_000, 5)
 		s.WarmupNs = 50_000_000

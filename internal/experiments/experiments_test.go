@@ -31,6 +31,7 @@ func runColoc(t *testing.T, store, wl string, setting Setting) *ColocationResult
 
 func TestColocationShapeRedisA(t *testing.T) {
 	skipHeavyUnderRace(t)
+	t.Parallel()
 	alone := runColoc(t, "redis", "a", Alone)
 	holmes := runColoc(t, "redis", "a", Holmes)
 	perfiso := runColoc(t, "redis", "a", PerfIso)
@@ -77,6 +78,7 @@ func TestColocationShapeRedisA(t *testing.T) {
 
 func TestSLOViolationLogic(t *testing.T) {
 	skipHeavyUnderRace(t)
+	t.Parallel()
 	alone := runColoc(t, "redis", "b", Alone)
 	perfiso := runColoc(t, "redis", "b", PerfIso)
 	slo := alone.Latency.Percentile(90)
@@ -94,6 +96,7 @@ func TestSLOViolationLogic(t *testing.T) {
 
 func TestDiskStoreScanWorkload(t *testing.T) {
 	skipHeavyUnderRace(t)
+	t.Parallel()
 	r := runColoc(t, "rocksdb", "e", Alone)
 	if r.CompletedQueries == 0 {
 		t.Fatal("no scan queries completed")
@@ -116,6 +119,7 @@ func TestMemcachedNoScans(t *testing.T) {
 
 func TestFig3Shape(t *testing.T) {
 	skipHeavyUnderRace(t)
+	t.Parallel()
 	r, err := RunFig3(1_500_000_000, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -139,6 +143,7 @@ func TestFig3Shape(t *testing.T) {
 
 func TestFig5VPITracksLatency(t *testing.T) {
 	skipHeavyUnderRace(t)
+	t.Parallel()
 	r, err := RunFig5(1_200_000_000, 1, []string{"redis", "memcached"})
 	if err != nil {
 		t.Fatal(err)
@@ -168,6 +173,7 @@ func TestFig5VPITracksLatency(t *testing.T) {
 
 func TestFig13VPIOrdering(t *testing.T) {
 	skipHeavyUnderRace(t)
+	t.Parallel()
 	means := map[Setting]float64{}
 	for _, set := range Settings() {
 		cfg := DefaultColocation("rocksdb", "a", set)
@@ -194,6 +200,7 @@ func TestFig13VPIOrdering(t *testing.T) {
 
 func TestFig14HigherEWorse(t *testing.T) {
 	skipHeavyUnderRace(t)
+	t.Parallel()
 	// Compare E=40 against E=80 directly (the sweep's endpoints).
 	run := func(e float64) float64 {
 		hc := core.DefaultConfig()
@@ -220,6 +227,7 @@ func TestFig14HigherEWorse(t *testing.T) {
 }
 
 func TestTable4Ordering(t *testing.T) {
+	t.Parallel()
 	r, err := RunTable4(1, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -307,6 +315,7 @@ func TestAblationCPSWeakerThanVPI(t *testing.T) {
 
 func TestAblationMetricUsageTriggerCostsThroughput(t *testing.T) {
 	skipHeavyUnderRace(t)
+	t.Parallel()
 	r, err := RunAblationMetric(4_000_000_000, 1, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -333,6 +342,7 @@ func TestAblationMetricUsageTriggerCostsThroughput(t *testing.T) {
 
 func TestAblationIntervalTradeoff(t *testing.T) {
 	skipHeavyUnderRace(t)
+	t.Parallel()
 	r, err := RunAblationInterval(3_000_000_000, 1, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -377,7 +387,7 @@ func TestSweepExperiment(t *testing.T) {
 	if r.Sweep.SelectMetric() != hpe.StallsMemAny {
 		t.Fatal("metric selection failed")
 	}
-	f4 := r.RenderFig4()
+	f4 := Fig4Result{r}.Render()
 	for _, panel := range []string{"Fig 4(a)", "Fig 4(b)", "Fig 4(c)"} {
 		if !strings.Contains(f4, panel) {
 			t.Fatalf("fig4 render missing %s", panel)
@@ -387,6 +397,7 @@ func TestSweepExperiment(t *testing.T) {
 
 func TestOverheadExperiment(t *testing.T) {
 	skipHeavyUnderRace(t)
+	t.Parallel()
 	r, err := RunOverhead(3_000_000_000, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -416,6 +427,7 @@ func TestUnknownStoreRejected(t *testing.T) {
 
 func TestColocationDeterminism(t *testing.T) {
 	skipHeavyUnderRace(t)
+	t.Parallel()
 	run := func() (int64, float64) {
 		cfg := DefaultColocation("redis", "a", Holmes)
 		cfg.DurationNs = 2_000_000_000
@@ -433,79 +445,13 @@ func TestColocationDeterminism(t *testing.T) {
 	}
 }
 
-func TestSuiteRenderers(t *testing.T) {
-	skipHeavyUnderRace(t)
-	// Memcached has the smallest matrix (2 workloads x 3 settings).
-	s := NewSuite(2_000_000_000, 1)
-	s.WarmupNs = 500_000_000
-
-	out, err := s.RenderLatencyCDFs("memcached")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Fig 10", "workload-a", "workload-b", "Holmes reduces", "legend:"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("latency CDFs render missing %q", want)
-		}
-	}
-
-	// The SLO and utilization renderers need the full matrix; restrict
-	// via a tiny closure over the suite cache by pre-running only what
-	// they query. They iterate all stores, so this is the expensive
-	// path; keep the windows short.
-	if testing.Short() {
-		t.Skip("full-matrix render skipped in -short mode")
-	}
-	slo, err := s.RenderSLOViolations()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(slo, "Fig 11") || !strings.Contains(slo, "wiredtiger") {
-		t.Fatal("SLO render incomplete")
-	}
-	util, err := s.RenderCPUUtilization()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(util, "Fig 12") {
-		t.Fatal("utilization render incomplete")
-	}
-	t3, err := s.RenderTable3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(t3, "Table 3") || !strings.Contains(t3, "Memory utilization") {
-		t.Fatal("table 3 render incomplete")
-	}
-}
-
-func TestHTMLReportGenerates(t *testing.T) {
-	skipHeavyUnderRace(t)
-	if testing.Short() {
-		t.Skip("report runs the whole matrix")
-	}
-	var b strings.Builder
-	if err := WriteHTMLReport(&b, Options{Seed: 1, Scale: 0.25}); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"<!DOCTYPE html>", `id="fig2"`, `id="fig7"`,
-		`id="fig13"`, `id="table4"`, "<svg", "STALLS_MEM_ANY"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q", want)
-		}
-	}
-	if strings.Count(out, "<svg") < 10 {
-		t.Fatalf("report has only %d figures", strings.Count(out, "<svg"))
-	}
-}
-
 // TestChaosGracefulDegradation runs the three chaos arms at test scale
 // and pins the experiment's acceptance contract: degradation holds the
 // SLO within the bound while the no-degradation control pays for the
 // same faults, and the degraded arm actually exercised its machinery.
 func TestChaosGracefulDegradation(t *testing.T) {
 	skipHeavyUnderRace(t)
+	t.Parallel()
 	r, err := RunChaos(Options{Seed: 42, Scale: 0.3, Parallel: 8})
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"github.com/holmes-colocation/holmes/internal/core"
 	"github.com/holmes-colocation/holmes/internal/rng"
 	"github.com/holmes-colocation/holmes/internal/runner"
-	"github.com/holmes-colocation/holmes/internal/stats"
 )
 
 // Fig14Point is one (service, E) measurement: Holmes latency normalized
@@ -118,22 +117,4 @@ func (r Fig14Result) Render() string {
 	}
 	b.WriteString("\n(Paper: E=40 yields latency closest to Alone; larger E values\ntolerate more interference before evicting batch siblings.)\n")
 	return b.String()
-}
-
-// BestE returns the threshold with the lowest mean normalized average
-// latency across services — the selection the paper's tuning makes.
-func (r Fig14Result) BestE() float64 {
-	byE := map[float64][]float64{}
-	for _, p := range r.Points {
-		byE[p.E] = append(byE[p.E], p.Avg)
-	}
-	best, bestAvg := 0.0, 1e18
-	for e, vals := range byE {
-		s := stats.NewSample(len(vals))
-		s.AddAll(vals)
-		if m := s.Mean(); m < bestAvg {
-			best, bestAvg = e, m
-		}
-	}
-	return best
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"github.com/holmes-colocation/holmes/internal/runner"
@@ -73,16 +72,30 @@ func (o Options) workers() int {
 	return o.Parallel
 }
 
+// Result is what a registry experiment returns: the typed data the HTML
+// report, the CLI gates and the tests read, and the text it renders.
+type Result interface {
+	Render() string
+}
+
+// typed lifts a run's concrete result type to Result.
+func typed[R Result](r R, err error) (Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
 // Experiment is a runnable table or figure reproduction.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(o Options) (string, error)
+	Run   func(o Options) (Result, error)
 }
 
 // Registry returns every experiment keyed by id. Co-location figures
 // share a per-invocation Suite so `all` does not re-run combinations.
-// The shared accessors are mutex-guarded: RunIDs executes experiments
+// The shared accessors are mutex-guarded: RunResults executes experiments
 // concurrently, and the Suite itself coalesces concurrent runs.
 func Registry() map[string]Experiment {
 	var suiteMu sync.Mutex
@@ -100,6 +113,15 @@ func Registry() map[string]Experiment {
 		}
 		return suite
 	}
+	// suiteFigure fetches the given stores' matrices into the shared
+	// suite, then returns the figure that renders from it.
+	suiteFigure := func(o Options, render func(*Suite) string, stores ...string) (Result, error) {
+		s := getSuite(o)
+		if err := s.Prefetch(stores...); err != nil {
+			return nil, err
+		}
+		return SuiteResult{s, render}, nil
+	}
 	var sweepMu sync.Mutex
 	var sweep *SweepResult
 	getSweep := func(o Options) SweepResult {
@@ -113,101 +135,69 @@ func Registry() map[string]Experiment {
 	}
 
 	exps := []Experiment{
-		{"fig2", "Memory access latency from different sources", func(o Options) (string, error) {
-			return RunFig2(o.microDuration(), o.Seed).Render(), nil
+		{"fig2", "Memory access latency from different sources", func(o Options) (Result, error) {
+			return RunFig2(o.microDuration(), o.Seed), nil
 		}},
-		{"fig3", "Redis latency: Alone / Co-separate / Co-hyper", func(o Options) (string, error) {
-			r, err := RunFig3(o.microDuration()*4, o.Seed)
-			if err != nil {
-				return "", err
+		{"fig3", "Redis latency: Alone / Co-separate / Co-hyper", func(o Options) (Result, error) {
+			return typed(RunFig3(o.microDuration()*4, o.Seed))
+		}},
+		{"table1", "Candidate HPE correlation study", func(o Options) (Result, error) {
+			return Table1Result{getSweep(o)}, nil
+		}},
+		{"fig4", "Normalized latency and VPIs vs request rate", func(o Options) (Result, error) {
+			return Fig4Result{getSweep(o)}, nil
+		}},
+		{"fig5", "VPI effectiveness on four services", func(o Options) (Result, error) {
+			return typed(RunFig5(o.microDuration()*4, o.Seed, nil))
+		}},
+		{"fig11", "SLO violation ratios", func(o Options) (Result, error) {
+			return suiteFigure(o, (*Suite).renderSLOViolations, StoreNames()...)
+		}},
+		{"fig12", "Average CPU utilization", func(o Options) (Result, error) {
+			return suiteFigure(o, (*Suite).renderCPUUtilization, StoreNames()...)
+		}},
+		{"fig13", "VPI timeline under three settings (RocksDB)", func(o Options) (Result, error) {
+			return typed(RunFig13(o.colocDuration(), o.colocWarmup(), o.Seed, o.workers()))
+		}},
+		{"table3", "Throughput comparison", func(o Options) (Result, error) {
+			s := getSuite(o)
+			for _, set := range []Setting{PerfIso, Holmes, Alone} {
+				if _, err := s.Get("redis", "a", set); err != nil {
+					return nil, err
+				}
 			}
-			return r.Render(), nil
+			return SuiteResult{s, (*Suite).renderTable3}, nil
 		}},
-		{"table1", "Candidate HPE correlation study", func(o Options) (string, error) {
-			return getSweep(o).RenderTable1(), nil
-		}},
-		{"fig4", "Normalized latency and VPIs vs request rate", func(o Options) (string, error) {
-			return getSweep(o).RenderFig4(), nil
-		}},
-		{"fig5", "VPI effectiveness on four services", func(o Options) (string, error) {
-			r, err := RunFig5(o.microDuration()*4, o.Seed, nil)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{"fig11", "SLO violation ratios", func(o Options) (string, error) {
-			return getSuite(o).RenderSLOViolations()
-		}},
-		{"fig12", "Average CPU utilization", func(o Options) (string, error) {
-			return getSuite(o).RenderCPUUtilization()
-		}},
-		{"fig13", "VPI timeline under three settings (RocksDB)", func(o Options) (string, error) {
-			return RenderFig13(o.colocDuration(), o.colocWarmup(), o.Seed, o.workers())
-		}},
-		{"table3", "Throughput comparison", func(o Options) (string, error) {
-			return getSuite(o).RenderTable3()
-		}},
-		{"fig14", "Threshold E sensitivity", func(o Options) (string, error) {
+		{"fig14", "Threshold E sensitivity", func(o Options) (Result, error) {
 			stores := StoreNames()
 			if !o.Full {
 				stores = []string{"redis", "rocksdb"}
 			}
-			r, err := RunFig14(o.colocDuration()/2, o.colocWarmup(), o.Seed, stores, o.workers())
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
+			return typed(RunFig14(o.colocDuration()/2, o.colocWarmup(), o.Seed, stores, o.workers()))
 		}},
-		{"table4", "Convergence speed comparison", func(o Options) (string, error) {
-			r, err := RunTable4(o.Seed, o.workers())
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
+		{"table4", "Convergence speed comparison", func(o Options) (Result, error) {
+			return typed(RunTable4(o.Seed, o.workers()))
 		}},
-		{"overhead", "Holmes daemon overhead", func(o Options) (string, error) {
-			r, err := RunOverheadWith(o.colocDuration(), o.Seed, o.Telemetry)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
+		{"overhead", "Holmes daemon overhead", func(o Options) (Result, error) {
+			return typed(RunOverheadWith(o.colocDuration(), o.Seed, o.Telemetry))
 		}},
-		{"ablations", "Design-choice ablations (CPS metric, usage trigger, interval)", renderAblations},
-		{"cluster", "Multi-node placement: VPI-aware vs bin-packing", func(o Options) (string, error) {
-			r, err := RunCluster(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
+		{"ablations", "Design-choice ablations (CPS metric, usage trigger, interval)", func(o Options) (Result, error) {
+			return typed(RunAblations(o))
 		}},
-		{"chaos", "Fault injection: graceful degradation vs no degradation", func(o Options) (string, error) {
-			r, err := RunChaos(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
+		{"cluster", "Multi-node placement: VPI-aware vs bin-packing", func(o Options) (Result, error) {
+			return typed(RunCluster(o))
 		}},
-		{"traffic", "Open-loop traffic engine: diurnal day, autoscaled replicas, backfill on/off", func(o Options) (string, error) {
-			r, err := RunTraffic(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
+		{"chaos", "Fault injection: graceful degradation vs no degradation", func(o Options) (Result, error) {
+			return typed(RunChaos(o))
 		}},
-		{"storm", "Retry storm: flash crowd + node crash; naive vs budgeted retries vs no-retry control", func(o Options) (string, error) {
-			r, err := RunStorm(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
+		{"traffic", "Open-loop traffic engine: diurnal day, autoscaled replicas, backfill on/off", func(o Options) (Result, error) {
+			return typed(RunTraffic(o))
 		}},
-		{"scale", "Datacenter scale: 256-node fleet, scoring vs vpi vs binpack placement under LoD", func(o Options) (string, error) {
-			r, err := RunScale(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
+		{"storm", "Retry storm: flash crowd + node crash; naive vs budgeted retries vs no-retry control", func(o Options) (Result, error) {
+			return typed(RunStorm(o))
+		}},
+		{"scale", "Datacenter scale: 256-node fleet, scoring vs vpi vs binpack placement under LoD", func(o Options) (Result, error) {
+			return typed(RunScale(o))
 		}},
 	}
 	// Per-service latency CDF figures.
@@ -216,8 +206,8 @@ func Registry() map[string]Experiment {
 		exps = append(exps, Experiment{
 			ID:    fmt.Sprintf("fig%d", figNumber(store)),
 			Title: fmt.Sprintf("Query latency CDFs: %s", store),
-			Run: func(o Options) (string, error) {
-				return getSuite(o).RenderLatencyCDFs(store)
+			Run: func(o Options) (Result, error) {
+				return suiteFigure(o, func(s *Suite) string { return s.renderLatencyCDFs(store) }, store)
 			},
 		})
 	}
@@ -255,49 +245,47 @@ func orderKey(id string) string {
 	return "99" + id
 }
 
-// RunIDs executes the named experiments — up to o.Parallel concurrently —
-// against one shared registry instance, returning their outputs aligned
-// with ids. Concurrent experiments share the co-location suite, whose
-// singleflight cache computes each matrix combination exactly once; the
-// outputs are byte-identical at every parallelism level.
-func RunIDs(o Options, ids []string) ([]string, error) {
+// RunResults executes the named experiments — up to o.Parallel
+// concurrently — against one shared registry instance, returning their
+// results aligned with ids. Concurrent experiments share the co-location
+// suite, whose singleflight cache computes each matrix combination exactly
+// once; the results render byte-identically at every parallelism level.
+func RunResults(o Options, ids []string) ([]Result, error) {
 	reg := Registry()
 	for _, id := range ids {
 		if _, ok := reg[id]; !ok {
 			return nil, fmt.Errorf("experiments: unknown experiment %q", id)
 		}
 	}
-	outs := make([]string, len(ids))
+	results := make([]Result, len(ids))
 	tasks := make([]func() error, len(ids))
 	for i, id := range ids {
 		i, e := i, reg[id]
 		tasks[i] = func() error {
-			out, err := e.Run(o)
+			r, err := e.Run(o)
 			if err != nil {
 				return fmt.Errorf("%s: %w", e.ID, err)
 			}
-			outs[i] = out
+			results[i] = r
 			return nil
 		}
 	}
 	if err := runner.Run(o.workers(), tasks); err != nil {
 		return nil, err
 	}
-	return outs, nil
+	return results, nil
 }
 
-// RunAll executes every experiment and concatenates the output in paper
-// order.
-func RunAll(o Options) (string, error) {
-	ids := IDs()
-	outs, err := RunIDs(o, ids)
+// RunIDs is RunResults rendered: each experiment's text output, aligned
+// with ids.
+func RunIDs(o Options, ids []string) ([]string, error) {
+	results, err := RunResults(o, ids)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	reg := Registry()
-	var b strings.Builder
-	for i, id := range ids {
-		fmt.Fprintf(&b, "############ %s: %s ############\n%s\n", id, reg[id].Title, outs[i])
+	outs := make([]string, len(results))
+	for i, r := range results {
+		outs[i] = r.Render()
 	}
-	return b.String(), nil
+	return outs, nil
 }

@@ -112,6 +112,29 @@ func (r *ScaleResult) ScoreWins() bool {
 		r.Score.SLOViolationRatio <= r.BinPack.SLOViolationRatio
 }
 
+// Conserved reports the pod-stream conservation identity on every arm.
+func (r *ScaleResult) Conserved() bool {
+	return conserved(r.Score) && conserved(r.VPI) && conserved(r.BinPack)
+}
+
+// Verdict judges the scale claim: conservation, enough measured queries,
+// LoD actually engaged, and the scoring placer's win over binpack,
+// checked in that order.
+func (r *ScaleResult) Verdict() Verdict {
+	switch {
+	case !r.Conserved():
+		return Verdict{Fail, "pod accounting not conserved"}
+	case !r.Measured():
+		return Verdict{Fail, fmt.Sprintf("only %d completed queries, need >= %d for a verdict",
+			r.Score.TotalQueries(), scaleMinQueries)}
+	case r.Score.LoDSkips == 0:
+		return Verdict{Fail, "LoD auto fast-forwarded nothing on a 256-node fleet"}
+	case !r.ScoreWins():
+		return Verdict{Fail, "scoring placer worse than binpack"}
+	}
+	return Verdict{Status: Pass}
+}
+
 // Render prints the three arms, the conservation identities, the
 // head-to-head summary and the verdict.
 func (r *ScaleResult) Render() string {
@@ -122,7 +145,6 @@ func (r *ScaleResult) Render() string {
 	b.WriteString("\n")
 	b.WriteString(r.BinPack.Render())
 	b.WriteString("\n")
-	allConserved := true
 	for _, arm := range []struct {
 		name string
 		res  *cluster.Result
@@ -130,7 +152,6 @@ func (r *ScaleResult) Render() string {
 		ok := "conserved"
 		if !conserved(arm.res) {
 			ok = "NOT CONSERVED"
-			allConserved = false
 		}
 		fmt.Fprintf(&b, "pod accounting [%s]: %d arrived = %d done + %d running + %d queued + %d failed: %s\n",
 			arm.name, arm.res.BatchArrived, arm.res.BatchDoneTotal, arm.res.BatchRunning,
@@ -140,19 +161,7 @@ func (r *ScaleResult) Render() string {
 		r.Score.MeanP99/1e3, r.VPI.MeanP99/1e3, r.BinPack.MeanP99/1e3,
 		100*r.Score.SLOViolationRatio, 100*r.VPI.SLOViolationRatio, 100*r.BinPack.SLOViolationRatio,
 		r.Score.BatchCompleted, r.VPI.BatchCompleted, r.BinPack.BatchCompleted)
-	verdict := "PASS"
-	switch {
-	case !allConserved:
-		verdict = "FAIL (pod accounting not conserved)"
-	case !r.Measured():
-		verdict = fmt.Sprintf("FAIL (only %d completed queries, need >= %d for a verdict)",
-			r.Score.TotalQueries(), scaleMinQueries)
-	case r.Score.LoDSkips == 0:
-		verdict = "FAIL (LoD auto fast-forwarded nothing on a 256-node fleet)"
-	case !r.ScoreWins():
-		verdict = "FAIL (scoring placer worse than binpack)"
-	}
 	fmt.Fprintf(&b, "scale verdict (%d nodes; score <= binpack on p99 and SLO%%, all arms conserved): %s\n",
-		scaleNodes, verdict)
+		scaleNodes, r.Verdict())
 	return b.String()
 }

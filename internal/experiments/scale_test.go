@@ -11,6 +11,7 @@ import (
 // headline win over binpack.
 func TestScaleExperiment(t *testing.T) {
 	skipHeavyUnderRace(t)
+	t.Parallel()
 	r, err := RunScale(Options{Seed: 42, Scale: 0.3, Parallel: 8})
 	if err != nil {
 		t.Fatal(err)

@@ -201,14 +201,6 @@ func (r *StormResult) Conserved() bool {
 	return r.Naive.Traffic.Conserved && r.Resilient.Traffic.Conserved && r.Control.Traffic.Conserved
 }
 
-// NaiveStormed reports the metastability signature: storm-window
-// amplification past the bound AND worse goodput than the resilient arm
-// despite (because of) all the extra arrivals.
-func (r *StormResult) NaiveStormed() bool {
-	return r.WindowAmplification(r.Naive) >= stormNaiveAmpBound &&
-		r.WindowGoodput(r.Naive) < r.WindowGoodput(r.Resilient)
-}
-
 // ResilientRecovered reports whether the budgeted arm regained goodput
 // within the bounded number of rounds after the reboot.
 func (r *StormResult) ResilientRecovered() bool {
@@ -219,6 +211,29 @@ func (r *StormResult) ResilientRecovered() bool {
 // Flight captures the post-mortem bundle from the resilient arm's plane.
 func (r *StormResult) Flight(reason string) *obs.FlightBundle {
 	return obs.CaptureFlight(r.ResilientObs, reason, obs.DefaultFlightSpans)
+}
+
+// Verdict judges the metastability claim: SKIPPED below the arrival
+// floor, otherwise conservation, the naive arm's amplification, its
+// goodput loss against the resilient arm and the resilient arm's
+// recovery, checked in that order.
+func (r *StormResult) Verdict() Verdict {
+	switch {
+	case !r.Measured():
+		return Verdict{Skipped, fmt.Sprintf("only %d arrivals, need >= %d for evidence",
+			r.Naive.Traffic.Arrivals, stormMinArrivals)}
+	case !r.Conserved():
+		return Verdict{Fail, "request accounting not conserved"}
+	case r.WindowAmplification(r.Naive) < stormNaiveAmpBound:
+		return Verdict{Fail, fmt.Sprintf("naive amplification %.2fx below %.1fx — no storm provoked",
+			r.WindowAmplification(r.Naive), stormNaiveAmpBound)}
+	case r.WindowGoodput(r.Naive) >= r.WindowGoodput(r.Resilient):
+		return Verdict{Fail, "naive goodput not degraded vs resilient"}
+	case !r.ResilientRecovered():
+		return Verdict{Fail, fmt.Sprintf("resilient arm did not recover %.0f%% goodput within %d rounds of reboot",
+			100*stormRecoveryRatio, stormRecoverySlack)}
+	}
+	return Verdict{Status: Pass}
 }
 
 // Render prints the three arms plus the storm-window comparison and the
@@ -234,23 +249,10 @@ func (r *StormResult) Render() string {
 		r.CrashRound, r.WindowEnd, r.RebootRound-r.CrashRound,
 		r.WindowAmplification(r.Naive), r.WindowAmplification(r.Resilient), r.WindowAmplification(r.Control),
 		r.WindowGoodput(r.Naive), r.WindowGoodput(r.Resilient), r.WindowGoodput(r.Control))
-	if !r.Measured() {
-		fmt.Fprintf(&b, "storm verdict: SKIPPED (only %d arrivals, need >= %d for evidence)\n",
-			r.Naive.Traffic.Arrivals, stormMinArrivals)
+	verdict := r.Verdict()
+	if verdict.Status == Skipped {
+		fmt.Fprintf(&b, "storm verdict: %s\n", verdict)
 		return b.String()
-	}
-	verdict := "PASS"
-	switch {
-	case !r.Conserved():
-		verdict = "FAIL (request accounting not conserved)"
-	case r.WindowAmplification(r.Naive) < stormNaiveAmpBound:
-		verdict = fmt.Sprintf("FAIL (naive amplification %.2fx below %.1fx — no storm provoked)",
-			r.WindowAmplification(r.Naive), stormNaiveAmpBound)
-	case r.WindowGoodput(r.Naive) >= r.WindowGoodput(r.Resilient):
-		verdict = "FAIL (naive goodput not degraded vs resilient)"
-	case !r.ResilientRecovered():
-		verdict = fmt.Sprintf("FAIL (resilient arm did not recover %.0f%% goodput within %d rounds of reboot)",
-			100*stormRecoveryRatio, stormRecoverySlack)
 	}
 	rec := "never"
 	if rr := r.RecoveryRound(r.Resilient); rr >= 0 {
@@ -260,9 +262,9 @@ func (r *StormResult) Render() string {
 		r.WindowAmplification(r.Naive), stormNaiveAmpBound,
 		r.WindowGoodput(r.Naive), r.WindowGoodput(r.Resilient),
 		rec, stormBreakerSummary(r.Resilient.Traffic), verdict)
-	if strings.HasPrefix(verdict, "FAIL") {
+	if verdict.Status == Fail {
 		b.WriteString("\n")
-		b.WriteString(r.Flight("storm verdict " + verdict).Render())
+		b.WriteString(r.Flight("storm verdict " + verdict.String()).Render())
 	}
 	return b.String()
 }

@@ -139,24 +139,35 @@ func figNumber(store string) int {
 	return 0
 }
 
-// RenderLatencyCDFs prints one store's Fig. 7/8/9/10 content: per-workload
+// SuiteResult is one figure over the co-location matrix (Figs. 7-12 and
+// Table 3). Its run has fetched every combination the figure reads, so
+// rendering only formats the suite's cached runs.
+type SuiteResult struct {
+	Suite  *Suite
+	render func(*Suite) string
+}
+
+// Render prints the figure.
+func (r SuiteResult) Render() string { return r.render(r.Suite) }
+
+// cached returns a combination an earlier Get or Prefetch computed.
+func (s *Suite) cached(store, workload string, setting Setting) *ColocationResult {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cache[suiteKey{Store: store, Workload: workload, Setting: setting}]
+}
+
+// renderLatencyCDFs prints one store's Fig. 7/8/9/10 content: per-workload
 // latency distributions under the three settings and the Holmes-vs-PerfIso
 // reductions the paper quotes.
-func (s *Suite) RenderLatencyCDFs(store string) (string, error) {
-	if err := s.Prefetch(store); err != nil {
-		return "", err
-	}
+func (s *Suite) renderLatencyCDFs(store string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Fig %d: query latency of %s under three settings ==\n",
 		figNumber(store), store)
 	for _, wl := range WorkloadsFor(store) {
 		sums := map[Setting]stats.Summary{}
 		for _, set := range Settings() {
-			r, err := s.Get(store, wl, set)
-			if err != nil {
-				return "", err
-			}
-			sums[set] = r.Latency.Summarize()
+			sums[set] = s.cached(store, wl, set).Latency.Summarize()
 		}
 		tb := trace.NewTable(fmt.Sprintf("workload-%s (latency ns)", wl),
 			"setting", "mean", "p50", "p90", "p99", "queries")
@@ -176,8 +187,7 @@ func (s *Suite) RenderLatencyCDFs(store string) (string, error) {
 			"latency ns", "fraction of queries")
 		plot.LogX = true
 		for _, set := range Settings() {
-			r, _ := s.Get(store, wl, set)
-			plot.AddCDF(string(set), r.Latency.CDF(24))
+			plot.AddCDF(string(set), s.cached(store, wl, set).Latency.CDF(24))
 		}
 		b.WriteString(plot.String())
 		b.WriteByte('\n')
@@ -185,83 +195,61 @@ func (s *Suite) RenderLatencyCDFs(store string) (string, error) {
 	b.WriteString("CDF series (latency_ns fraction):\n")
 	for _, wl := range WorkloadsFor(store) {
 		for _, set := range Settings() {
-			r, _ := s.Get(store, wl, set)
 			fmt.Fprintf(&b, "# workload-%s %s\n", wl, set)
-			for _, p := range r.Latency.CDF(20) {
+			for _, p := range s.cached(store, wl, set).Latency.CDF(20) {
 				fmt.Fprintf(&b, "%.0f\t%.3f\n", p.Value, p.Fraction)
 			}
 		}
 	}
-	return b.String(), nil
+	return b.String()
 }
 
-// RenderSLOViolations prints Fig. 11: the violation ratio per service and
+// renderSLOViolations prints Fig. 11: the violation ratio per service and
 // workload with the SLO set to the Alone p90 (the paper's definition).
-func (s *Suite) RenderSLOViolations() (string, error) {
-	if err := s.Prefetch(StoreNames()...); err != nil {
-		return "", err
-	}
+func (s *Suite) renderSLOViolations() string {
 	tb := trace.NewTable("Fig 11: SLO violation ratios (SLO = Alone p90)",
 		"service", "workload", "slo_ns", "alone", "holmes", "perfiso")
 	for _, store := range StoreNames() {
 		for _, wl := range WorkloadsFor(store) {
-			alone, err := s.Get(store, wl, Alone)
-			if err != nil {
-				return "", err
-			}
-			slo := alone.Latency.Percentile(90)
+			slo := s.cached(store, wl, Alone).Latency.Percentile(90)
 			row := []interface{}{store, "workload-" + wl, slo}
 			for _, set := range Settings() {
-				r, err := s.Get(store, wl, set)
-				if err != nil {
-					return "", err
-				}
-				row = append(row, fmt.Sprintf("%.1f%%", 100*r.Latency.FractionAbove(slo)))
+				row = append(row, fmt.Sprintf("%.1f%%", 100*s.cached(store, wl, set).Latency.FractionAbove(slo)))
 			}
 			tb.AddRow(row...)
 		}
 	}
-	return tb.String(), nil
+	return tb.String()
 }
 
-// RenderCPUUtilization prints Fig. 12: machine-wide utilization per
+// renderCPUUtilization prints Fig. 12: machine-wide utilization per
 // service and setting (averaged over workloads).
-func (s *Suite) RenderCPUUtilization() (string, error) {
-	if err := s.Prefetch(StoreNames()...); err != nil {
-		return "", err
-	}
+func (s *Suite) renderCPUUtilization() string {
 	tb := trace.NewTable("Fig 12: average CPU utilization",
 		"service", "workload", "alone", "holmes", "perfiso")
 	for _, store := range StoreNames() {
 		for _, wl := range WorkloadsFor(store) {
 			row := []interface{}{store, "workload-" + wl}
 			for _, set := range Settings() {
-				r, err := s.Get(store, wl, set)
-				if err != nil {
-					return "", err
-				}
-				row = append(row, fmt.Sprintf("%.1f%%", 100*r.AvgCPUUtil))
+				row = append(row, fmt.Sprintf("%.1f%%", 100*s.cached(store, wl, set).AvgCPUUtil))
 			}
 			tb.AddRow(row...)
 		}
 	}
 	out := tb.String()
 	out += "\n(Paper: Holmes 72.4-85.8%, PerfIso 83.4-88.5%, Alone single digits.)\n"
-	return out, nil
+	return out
 }
 
-// RenderTable3 prints the throughput comparison: average CPU usage and
+// renderTable3 prints the throughput comparison: average CPU usage and
 // completed batch jobs for Redis serving workload-a. Counts are scaled to
 // a one-hour equivalent using the time-compression factor.
-func (s *Suite) RenderTable3() (string, error) {
+func (s *Suite) renderTable3() string {
 	tb := trace.NewTable("Table 3: throughput comparison (Redis, workload-a)",
 		"setting", "avg CPU", "jobs (window)", "jobs/hour equiv", "paper jobs/hour")
 	paperJobs := map[Setting]string{Alone: "0", Holmes: "73", PerfIso: "78"}
 	for _, set := range []Setting{PerfIso, Holmes, Alone} {
-		r, err := s.Get("redis", "a", set)
-		if err != nil {
-			return "", err
-		}
+		r := s.cached("redis", "a", set)
 		perHour := float64(r.CompletedJobs) * 3.6e12 / float64(s.DurationNs)
 		tb.AddRow(string(set), fmt.Sprintf("%.1f%%", 100*r.AvgCPUUtil),
 			r.CompletedJobs, fmt.Sprintf("%.0f", perHour), paperJobs[set])
@@ -273,10 +261,7 @@ func (s *Suite) RenderTable3() (string, error) {
 	// resident set plus the fixed per-container limits of live batch jobs.
 	memTb := trace.NewTable("Memory utilization (§6.3)", "setting", "service", "batch containers", "total")
 	for _, set := range []Setting{Alone, Holmes, PerfIso} {
-		r, err := s.Get("redis", "a", set)
-		if err != nil {
-			return "", err
-		}
+		r := s.cached("redis", "a", set)
 		memTb.AddRow(string(set),
 			fmt.Sprintf("%.2f GB", float64(r.ServiceMemBytes)/(1<<30)),
 			fmt.Sprintf("%.1f GB", float64(r.BatchMemBytes)/(1<<30)),
@@ -284,23 +269,28 @@ func (s *Suite) RenderTable3() (string, error) {
 	}
 	out += "\n" + memTb.String()
 	out += "(Paper: ~2 GB Alone, ~144 GB under co-location — fixed-size containers\nmake memory utilization stable; the simulated cluster is smaller but\nshows the same flat-per-setting behaviour.)\n"
-	return out, nil
+	return out
 }
 
-// RenderFig13 prints the VPI timeline for RocksDB under workload-a. The
-// three settings run as independent simulations, fanned out across up to
+// Fig13Timeline is one setting's VPI timeline on the LC CPUs.
+type Fig13Timeline struct {
+	Setting Setting
+	Series  trace.Series
+}
+
+// Fig13Result holds the VPI timelines of RocksDB under workload-a, one
+// per setting in paper order.
+type Fig13Result struct {
+	Timelines []Fig13Timeline
+}
+
+// RunFig13 runs the VPI timeline for RocksDB under workload-a. The three
+// settings run as independent simulations, fanned out across up to
 // workers goroutines; each derives its seed from (seed, setting) so the
-// rendered series are identical at any worker count.
-func RenderFig13(durationNs, warmupNs int64, seed uint64, workers int) (string, error) {
-	var b strings.Builder
-	b.WriteString("== Fig 13: average VPI on LC CPUs over time (RocksDB, workload-a) ==\n")
-	type row struct {
-		set    Setting
-		series trace.Series
-		mean   float64
-		max    float64
-	}
-	rows := make([]row, len(Settings()))
+// series are identical at any worker count. warmupNs <= 0 keeps the
+// default warmup.
+func RunFig13(durationNs, warmupNs int64, seed uint64, workers int) (Fig13Result, error) {
+	out := Fig13Result{Timelines: make([]Fig13Timeline, len(Settings()))}
 	tasks := make([]func() error, len(Settings()))
 	for i, set := range Settings() {
 		i, set := i, set
@@ -316,28 +306,35 @@ func RenderFig13(durationNs, warmupNs int64, seed uint64, workers int) (string, 
 			if err != nil {
 				return err
 			}
-			rows[i] = row{set, r.VPISeries, r.VPISeries.Mean(), r.VPISeries.Max()}
+			out.Timelines[i] = Fig13Timeline{set, r.VPISeries}
 			return nil
 		}
 	}
 	if err := runner.Run(workers, tasks); err != nil {
-		return "", err
+		return Fig13Result{}, err
 	}
+	return out, nil
+}
+
+// Render prints the summary table, the ASCII plot and the series.
+func (r Fig13Result) Render() string {
+	var b strings.Builder
+	b.WriteString("== Fig 13: average VPI on LC CPUs over time (RocksDB, workload-a) ==\n")
 	tb := trace.NewTable("summary", "setting", "mean VPI", "max VPI")
-	for _, r := range rows {
-		tb.AddRow(string(r.set), r.mean, r.max)
+	for _, s := range r.Timelines {
+		tb.AddRow(string(s.Setting), s.Series.Mean(), s.Series.Max())
 	}
 	b.WriteString(tb.String())
 	b.WriteString("\n(Paper: Alone most stable, PerfIso highest and most volatile,\nHolmes lower and more stable than PerfIso.)\n\n")
 	plot := trace.NewPlot("VPI on LC CPUs over time", "time us", "VPI (STALLS_MEM_ANY per mem instruction)")
-	for _, r := range rows {
-		plot.AddSeriesPoints(string(r.set), r.series.Downsample(60))
+	for _, s := range r.Timelines {
+		plot.AddSeriesPoints(string(s.Setting), s.Series.Downsample(60))
 	}
 	b.WriteString(plot.String())
 	b.WriteByte('\n')
-	for _, r := range rows {
-		b.WriteString("# " + string(r.set) + "\n")
-		b.WriteString(r.series.Downsample(40).TSV())
+	for _, s := range r.Timelines {
+		b.WriteString("# " + string(s.Setting) + "\n")
+		b.WriteString(s.Series.Downsample(40).TSV())
 	}
-	return b.String(), nil
+	return b.String()
 }

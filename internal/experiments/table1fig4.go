@@ -33,6 +33,13 @@ func RunSweep(windowNs int64, seed uint64) SweepResult {
 	return SweepResult{Sweep: microbench.RunSweep(cfg)}
 }
 
+// Table1Result is the registry's table1 entry: the sweep read as the HPE
+// selection study.
+type Table1Result struct{ SweepResult }
+
+// Render prints Table 1.
+func (r Table1Result) Render() string { return r.RenderTable1() }
+
 // RenderTable1 prints the HPE selection study.
 func (r SweepResult) RenderTable1() string {
 	tb := trace.NewTable("Table 1: candidate HPEs and their correlation with memory access latency",
@@ -48,9 +55,13 @@ func (r SweepResult) RenderTable1() string {
 	return out
 }
 
-// RenderFig4 prints the normalized latency and VPI series of the three
+// Fig4Result is the registry's fig4 entry: the sweep read as Fig. 4's
+// normalized series.
+type Fig4Result struct{ SweepResult }
+
+// Render prints the normalized latency and VPI series of the three
 // panels.
-func (r SweepResult) RenderFig4() string {
+func (r Fig4Result) Render() string {
 	var b strings.Builder
 	panel := func(title string, pts []microbench.ProbePoint) {
 		fmt.Fprintf(&b, "== %s ==\n", title)

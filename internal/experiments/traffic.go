@@ -141,6 +141,27 @@ func (r *TrafficResult) Flight(reason string) *obs.FlightBundle {
 	return obs.CaptureFlight(r.BackfillObs, reason, obs.DefaultFlightSpans)
 }
 
+// Verdict judges the co-location claim at traffic scale: SKIPPED below
+// the arrival floor, otherwise conservation, the spike SLO, the trough
+// utilization win and the autoscaler's reaction, checked in that order.
+func (r *TrafficResult) Verdict() Verdict {
+	bt := r.Backfill.Traffic
+	switch {
+	case !r.Measured():
+		return Verdict{Skipped, fmt.Sprintf("only %d arrivals, need >= %d for evidence",
+			bt.Arrivals, trafficMinArrivals)}
+	case !r.Conserved():
+		return Verdict{Fail, "request accounting not conserved"}
+	case !r.SpikeSLOHeld():
+		return Verdict{Fail, fmt.Sprintf("spike SLO violations exceed %.0f%%", 100*trafficSpikeSLOBound)}
+	case !r.BackfillRaisedTroughUtil():
+		return Verdict{Fail, "backfill did not raise trough utilization"}
+	case !r.AutoscalerReacted():
+		return Verdict{Fail, fmt.Sprintf("autoscaler inert: %d ups, %d downs", bt.ScaleUps, bt.ScaleDowns)}
+	}
+	return Verdict{Status: Pass}
+}
+
 // Render prints both arms plus the deltas and the verdict.
 func (r *TrafficResult) Render() string {
 	var b strings.Builder
@@ -152,29 +173,18 @@ func (r *TrafficResult) Render() string {
 		100*bt.TroughUtil, 100*it.TroughUtil,
 		100*bt.SpikeUtil, 100*it.SpikeUtil,
 		r.Backfill.BatchCompleted, r.Idle.BatchCompleted)
-	if !r.Measured() {
-		fmt.Fprintf(&b, "traffic verdict: SKIPPED (only %d arrivals, need >= %d for evidence)\n",
-			bt.Arrivals, trafficMinArrivals)
+	verdict := r.Verdict()
+	if verdict.Status == Skipped {
+		fmt.Fprintf(&b, "traffic verdict: %s\n", verdict)
 		return b.String()
-	}
-	verdict := "PASS"
-	switch {
-	case !r.Conserved():
-		verdict = "FAIL (request accounting not conserved)"
-	case !r.SpikeSLOHeld():
-		verdict = fmt.Sprintf("FAIL (spike SLO violations exceed %.0f%%)", 100*trafficSpikeSLOBound)
-	case !r.BackfillRaisedTroughUtil():
-		verdict = "FAIL (backfill did not raise trough utilization)"
-	case !r.AutoscalerReacted():
-		verdict = fmt.Sprintf("FAIL (autoscaler inert: %d ups, %d downs)", bt.ScaleUps, bt.ScaleDowns)
 	}
 	fmt.Fprintf(&b, "traffic verdict: backfill trough util %.1f%% vs idle %.1f%%, spike SLO %.2f%% (bound %.0f%%), autoscaler %d up / %d down: %s\n",
 		100*bt.TroughUtil, 100*it.TroughUtil,
 		100*worstSpikeSLO(bt), 100*trafficSpikeSLOBound,
 		bt.ScaleUps, bt.ScaleDowns, verdict)
-	if strings.HasPrefix(verdict, "FAIL") {
+	if verdict.Status == Fail {
 		b.WriteString("\n")
-		b.WriteString(r.Flight("traffic verdict " + verdict).Render())
+		b.WriteString(r.Flight("traffic verdict " + verdict.String()).Render())
 	}
 	return b.String()
 }

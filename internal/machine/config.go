@@ -7,18 +7,18 @@ import (
 	"github.com/holmes-colocation/holmes/internal/cpuid"
 )
 
-// intervalBatchingDefault is the process-wide default for
+// intervalBatchingDisabled inverts the process-wide default for
 // Config.IntervalBatching, consulted by DefaultConfig. It exists so the
-// `-no-interval-batch` escape hatch in the CLIs (and the equivalence
-// harness) can flip every machine built from DefaultConfig without
-// plumbing a flag through each construction site. Batching is on by
-// default; the interval engine is bit-identical to per-tick stepping.
+// equivalence tests can flip every machine built from DefaultConfig to the
+// per-tick reference path without plumbing a setting through each
+// construction site. Batching is on by default; the interval engine is
+// bit-identical to per-tick stepping.
 var intervalBatchingDisabled atomic.Bool
 
 // SetDefaultIntervalBatching sets whether DefaultConfig enables the
-// interval-batched loaded path. Call it before building machines (CLI
-// flag parsing, test setup); machines already constructed keep the value
-// they were built with.
+// interval-batched loaded path. Call it before building machines (test
+// setup); machines already constructed keep the value they were built
+// with.
 func SetDefaultIntervalBatching(on bool) { intervalBatchingDisabled.Store(!on) }
 
 // DefaultIntervalBatching reports the current process-wide default.
