@@ -66,11 +66,13 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzIntervalEquivalence -fuzztime=15s ./internal/machine/equiv
 
 # The benchmark harness under bench/ is its own Go module, so the root
-# `go test ./...` skips it. This runs its tests (stats helpers, workload
-# smoke runs, and the check that its hand-composed node matches
-# experiments.RunColocation) with bench/run.sh's environment: local
-# toolchain, no module proxy, no workspace.
+# `go vet ./...` and `go test ./...` skip it. This vets it and runs its
+# tests (stats helpers, workload smoke runs, and the check that its
+# hand-composed node matches experiments.RunColocation) with
+# bench/run.sh's environment: local toolchain, no module proxy, no
+# workspace.
 bench-test:
+	cd bench && GOTOOLCHAIN=local GOPROXY=off GOWORK=off $(GO) vet ./...
 	cd bench && GOTOOLCHAIN=local GOPROXY=off GOWORK=off $(GO) test ./...
 
 # Observability smoke: the Chrome-trace schema check and golden span-tree

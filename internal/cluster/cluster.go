@@ -35,7 +35,7 @@ import (
 // RunOptions are the execution knobs that are not part of the workload
 // description: Workers bounds node-simulation parallelism (<= 1 serial;
 // results identical either way) and Telemetry, when non-nil, receives
-// every node's daemon metrics plus the control plane's own counters.
+// every node's daemon metrics, events and modeled recording cost.
 type RunOptions struct {
 	Workers   int
 	Telemetry *telemetry.Set
@@ -253,59 +253,6 @@ func reconcileDecisions(states []NodeState, placed map[string]*placedPod, hotRou
 func serviceThreads(store string) int {
 	cfg := lcservice.DefaultConfigFor(store)
 	return cfg.Workers + cfg.BackgroundWorkers
-}
-
-// clusterTelemetry pre-resolves the control plane's metric handles.
-type clusterTelemetry struct {
-	set              *telemetry.Set
-	placedGuaranteed *telemetry.Counter
-	placedBestEffort *telemetry.Counter
-	evictions        *telemetry.Counter
-	requeues         *telemetry.Counter
-	failed           *telemetry.Counter
-	completed        *telemetry.Counter
-	nodeVPI          map[int]*telemetry.Gauge
-}
-
-func (t *clusterTelemetry) resolve(set *telemetry.Set) {
-	if set == nil {
-		return
-	}
-	t.set = set
-	reg := set.Registry
-	t.placedGuaranteed = reg.Counter("cluster_pods_placed_total",
-		"pods placed by the cluster scheduler", telemetry.L("qos", "guaranteed"))
-	t.placedBestEffort = reg.Counter("cluster_pods_placed_total",
-		"pods placed by the cluster scheduler", telemetry.L("qos", "besteffort"))
-	t.evictions = reg.Counter("cluster_evictions_total",
-		"best-effort pods evicted by the reconciler")
-	t.requeues = reg.Counter("cluster_requeues_total",
-		"evicted pods returned to the pending queue")
-	t.failed = reg.Counter("cluster_failed_placements_total",
-		"pods dropped after exhausting placement retries")
-	t.completed = reg.Counter("cluster_pods_completed_total",
-		"finite best-effort pods that drained their work")
-	t.nodeVPI = map[int]*telemetry.Gauge{}
-}
-
-func (t *clusterTelemetry) inc(c *telemetry.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
-func (t *clusterTelemetry) gaugeVPI(node int, v float64) {
-	if t.set == nil {
-		return
-	}
-	g, ok := t.nodeVPI[node]
-	if !ok {
-		g = t.set.Registry.Gauge("cluster_node_smoothed_vpi",
-			"mean smoothed VPI across a node's reserved CPUs",
-			telemetry.L("node", fmt.Sprint(node)))
-		t.nodeVPI[node] = g
-	}
-	g.Set(v)
 }
 
 // Render prints the run as a table plus summary lines.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/holmes-colocation/holmes/internal/faults"
@@ -58,6 +59,53 @@ func TestLoDDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if r1.LoDSkips != r8.LoDSkips {
 		t.Fatalf("LoD skip counts differ: %d serial vs %d parallel", r1.LoDSkips, r8.LoDSkips)
+	}
+}
+
+// TestLoDPreservesRenderedOutput pins what LoD auto keeps: every rendered
+// line matches LoD full except the fidelity line and the utilization line.
+// A fast-forwarded node's Holmes daemon does not run, so its CPU time is
+// missing from ClusterUtil: auto may read lower than full, never higher.
+func TestLoDPreservesRenderedOutput(t *testing.T) {
+	auto := lodSpec()
+	auto.Batch.Pods = 24
+	full := auto
+	full.LoD = LoDFull
+	ra, err := Run(auto, RunOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rf, err := Run(full, RunOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ra.LoDSkips == 0 {
+		t.Fatal("LoD auto fast-forwarded nothing; the comparison would be vacuous")
+	}
+	if ra.ClusterUtil > rf.ClusterUtil {
+		t.Errorf("LoD auto utilization %.6f above full %.6f", ra.ClusterUtil, rf.ClusterUtil)
+	}
+	if ra.BatchCompleted != rf.BatchCompleted || ra.PlacedBatch != rf.PlacedBatch {
+		t.Errorf("batch pods completed/placed: auto %d/%d, full %d/%d",
+			ra.BatchCompleted, ra.PlacedBatch, rf.BatchCompleted, rf.PlacedBatch)
+	}
+	keep := func(r *Result) []string {
+		var out []string
+		for _, l := range strings.Split(r.Render(), "\n") {
+			if !strings.HasPrefix(l, "fidelity:") && !strings.HasPrefix(l, "cluster utilization:") {
+				out = append(out, l)
+			}
+		}
+		return out
+	}
+	la, lf := keep(ra), keep(rf)
+	if len(la) != len(lf) {
+		t.Fatalf("LoD auto rendered %d comparable lines, full %d", len(la), len(lf))
+	}
+	for i := range la {
+		if la[i] != lf[i] {
+			t.Errorf("line %d differs:\n auto: %s\n full: %s", i, la[i], lf[i])
+		}
 	}
 }
 

@@ -335,20 +335,3 @@ func (f *fleetRollup) record(r int, states []NodeState, down []bool, goodQ, badQ
 			float64(badQ)/float64(goodQ+badQ))
 	}
 }
-
-// publishAlerts mirrors burn-engine transitions to the telemetry set's
-// alert log (the /alerts endpoint) and the observability plane.
-func publishAlerts(set *telemetry.Set, p *obs.Plane, alerts []obs.Alert) {
-	if len(alerts) == 0 {
-		return
-	}
-	p.RecordAlerts(alerts)
-	if set != nil {
-		for _, a := range alerts {
-			set.PublishAlert(telemetry.Alert{
-				TimeNs: a.TimeNs, Name: a.SLO, Severity: a.Severity,
-				Firing: a.Firing, Burn: a.LongBurn,
-			})
-		}
-	}
-}

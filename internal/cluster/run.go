@@ -43,7 +43,6 @@ type run struct {
 	warmupRounds, totalRounds  int
 	containers, threads, units int // the batch stream's pod shape
 
-	tel clusterTelemetry
 	// The burn-rate engine always runs: its alert stream modulates the
 	// reconciler, so it is control-plane behavior, not optional recording.
 	// The tracer and rollup are the recording side and no-op without a
@@ -133,7 +132,6 @@ func newRun(spec Spec, opt RunOptions) (*run, error) {
 	warmup, measure := spec.rounds()
 	x.warmupRounds, x.totalRounds = warmup, warmup+measure
 	x.containers, x.threads, x.units = spec.Batch.podSpecShape()
-	x.tel.resolve(opt.Telemetry)
 	x.burn = newBurnEngine(spec, x.totalRounds)
 	x.tracer = newRunTracer(opt.Obs, x.hbNs)
 	x.rollup = newFleetRollup(opt.Obs, x.hbNs)
@@ -349,7 +347,6 @@ func (x *run) placement(r int) error {
 					x.res.BatchFailed++
 				}
 				x.res.FailedPlacements++
-				x.tel.inc(x.tel.failed)
 				continue
 			}
 			p.notBefore = r + 1
@@ -402,10 +399,8 @@ func (x *run) bind(p *pendingPod, target, r int) error {
 		}
 	})
 	if p.req.Guaranteed {
-		x.tel.inc(x.tel.placedGuaranteed)
 		x.tracer.servicePlace(p.req.Name, r, target)
 	} else {
-		x.tel.inc(x.tel.placedBestEffort)
 		x.tracer.place(p.req.Name, r, target)
 	}
 	return nil
@@ -479,7 +474,6 @@ func (x *run) reap(r int) error {
 			if r >= x.warmupRounds {
 				x.res.BatchCompleted++
 			}
-			x.tel.inc(x.tel.completed)
 			x.tracer.complete(name, r)
 		}
 	}
@@ -574,7 +568,6 @@ func (x *run) deliverHeartbeat(i, r int) (dq, db int64, err error) {
 		}
 		st.HB = hb
 	})
-	x.tel.gaugeVPI(i, hb.SmoothedVPI)
 	if r >= x.warmupRounds && x.states[i].TrendVPI > x.res.PeakSmoothedVPI {
 		x.res.PeakSmoothedVPI = x.states[i].TrendVPI
 	}
@@ -704,7 +697,7 @@ func (x *run) feedSLO(r int, goodQ, badQ int64) []obs.Alert {
 // round; requests-SLO transitions publish with the round's other alerts.
 func (x *run) postRound(r int, alerts []obs.Alert, goodQ, badQ int64) {
 	pods, reqAlerts := x.tc.postRound(r, x.nodes, x.states, x.down, x.burn)
-	publishAlerts(x.opt.Telemetry, x.opt.Obs, append(alerts, reqAlerts...))
+	x.opt.Obs.RecordAlerts(append(alerts, reqAlerts...))
 	x.rollup.record(r, x.states, x.down, goodQ, badQ)
 	x.admit(pods, r)
 }
@@ -747,7 +740,6 @@ func (x *run) reconcile(r int) error {
 		x.reg.Update(ev.node, func(st *NodeState) { st.Hot = 0 })
 		delete(x.placed, ev.pod)
 		x.res.Evictions++
-		x.tel.inc(x.tel.evictions)
 		p := pp.pending
 		// Checkpoint: the pod resumes from the work it already finished,
 		// so an eviction costs rescheduling latency, not lost cycles.
@@ -757,7 +749,6 @@ func (x *run) reconcile(r int) error {
 		p.retries = 0
 		x.queue = append(x.queue, p)
 		x.res.Requeues++
-		x.tel.inc(x.tel.requeues)
 	}
 	return nil
 }

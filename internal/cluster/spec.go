@@ -7,6 +7,7 @@ import (
 
 	"github.com/holmes-colocation/holmes/internal/batch"
 	"github.com/holmes-colocation/holmes/internal/faults"
+	"github.com/holmes-colocation/holmes/internal/lcservice"
 	"github.com/holmes-colocation/holmes/internal/scenario"
 	"github.com/holmes-colocation/holmes/internal/ycsb"
 )
@@ -212,9 +213,7 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("cluster: duplicate service name %q", svc.Name)
 		}
 		seen[svc.Name] = true
-		switch svc.Store {
-		case "redis", "memcached", "rocksdb", "wiredtiger":
-		default:
+		if !lcservice.IsStore(svc.Store) {
 			return fmt.Errorf("cluster: service %s: unknown store %q", svc.Name, svc.Store)
 		}
 		if _, err := ycsb.ByName(orDefault(svc.Workload, "a")); err != nil {

@@ -16,7 +16,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/holmes-colocation/holmes/internal/hpe"
 	"github.com/holmes-colocation/holmes/internal/telemetry"
 )
 
@@ -54,15 +53,9 @@ type Config struct {
 	// ReservedCPUs is the number of logical CPUs initially reserved for
 	// latency-critical services (paper: 4 on a 32-logical-CPU server).
 	ReservedCPUs int
-	// Event is the HPE used for the VPI metric. The paper selects
-	// STALLS_MEM_ANY (0x14A3) via the Table 1 correlation study.
-	Event hpe.Event
 	// E is the VPI deallocation threshold (paper: 40). When the VPI of
 	// an LC CPU reaches E, batch jobs are evicted from its sibling.
 	E float64
-	// T is the reserved-CPU usage fraction that triggers expansion
-	// (paper: 0.8).
-	T float64
 	// SNs is how long an LC CPU's VPI must stay below E before its
 	// sibling is re-offered to batch jobs (paper: S seconds).
 	SNs int64
@@ -74,22 +67,11 @@ type Config struct {
 	// DaemonCPU pins the Holmes daemon thread (paper §6.6 suggests a
 	// separate core). -1 disables overhead modeling.
 	DaemonCPU int
-	// ServingUsageThreshold is the per-LC-CPU busy fraction above which
-	// the service counts as serving traffic (§4.2 determines serving
-	// status from CPU usage).
-	ServingUsageThreshold float64
 	// TriggerMetric selects the eviction signal: MetricVPI (Holmes) or
 	// MetricUsage (the naive ablation: evict the sibling whenever the
-	// LC CPU's own usage exceeds UsageEvictThreshold, blind to whether
+	// LC CPU's own usage reaches one half, blind to whether
 	// the load actually touches memory).
 	TriggerMetric Metric
-	// UsageEvictThreshold applies under MetricUsage.
-	UsageEvictThreshold float64
-	// EnableShrink releases CPUs acquired by pool expansion once the
-	// reserved pool's smoothed usage would fit comfortably in a smaller
-	// pool (an extension; the paper only describes expansion). The pool
-	// never shrinks below ReservedCPUs.
-	EnableShrink bool
 	// CounterFault, when non-nil, filters every VPI sample before the
 	// monitor stores it (fault injection; see internal/faults).
 	CounterFault CounterFaultFilter
@@ -99,22 +81,12 @@ type Config struct {
 	// WatchdogWindow enables the counter-health watchdog: every this
 	// many busy-CPU VPI samples the daemon checks what fraction looked
 	// implausible (stuck, zero-while-busy, negative, or absurdly large)
-	// and, past WatchdogSuspectFraction, falls back to safe mode — a
+	// and, once half of them did, falls back to safe mode — a
 	// conservative static partition with every sibling withheld and the
-	// reserved pool frozen — until readings stabilize for
-	// SafeModeQuietNs. 0 disables the watchdog (the default: a
-	// single-machine run with healthy counters should behave exactly as
-	// before this knob existed).
+	// reserved pool frozen — until readings stay plausible for SNs.
+	// 0 disables the watchdog (the default: a single-machine run with
+	// healthy counters should behave exactly as before this knob existed).
 	WatchdogWindow int
-	// WatchdogSuspectFraction is the implausible-sample fraction that
-	// trips safe mode (0 = 0.5).
-	WatchdogSuspectFraction float64
-	// WatchdogMaxVPI is the largest VPI reading considered physically
-	// plausible (0 = 100*E).
-	WatchdogMaxVPI float64
-	// SafeModeQuietNs is how long the VPI stream must stay plausible
-	// before safe mode lifts (0 = SNs).
-	SafeModeQuietNs int64
 	// RescanIntervalNs, when positive, re-walks the cgroup tree under
 	// YarnRoot every interval, adopting containers whose creation events
 	// were lost and dropping tracked containers whose groups vanished —
@@ -141,17 +113,13 @@ type Config struct {
 // DefaultConfig returns the paper's settings.
 func DefaultConfig() Config {
 	return Config{
-		ReservedCPUs:          4,
-		Event:                 hpe.StallsMemAny,
-		E:                     40,
-		T:                     0.8,
-		SNs:                   1_000_000_000, // 1 s
-		IntervalNs:            100_000,       // 100 µs
-		YarnRoot:              "/yarn",
-		DaemonCPU:             -1,
-		ServingUsageThreshold: 0.05,
-		TriggerMetric:         MetricVPI,
-		UsageEvictThreshold:   0.5,
+		ReservedCPUs:  4,
+		E:             40,
+		SNs:           1_000_000_000, // 1 s
+		IntervalNs:    100_000,       // 100 µs
+		YarnRoot:      "/yarn",
+		DaemonCPU:     -1,
+		TriggerMetric: MetricVPI,
 	}
 }
 
@@ -163,9 +131,6 @@ func (c Config) Validate() error {
 	if c.E <= 0 {
 		return fmt.Errorf("core: threshold E must be positive")
 	}
-	if c.T <= 0 || c.T >= 1 {
-		return fmt.Errorf("core: threshold T must be in (0,1)")
-	}
 	if c.SNs < 0 || c.IntervalNs <= 0 {
 		return fmt.Errorf("core: invalid timing parameters")
 	}
@@ -174,14 +139,8 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("core: unknown trigger metric %q", c.TriggerMetric)
 	}
-	if c.WatchdogWindow < 0 || c.RescanIntervalNs < 0 || c.SafeModeQuietNs < 0 {
+	if c.WatchdogWindow < 0 || c.RescanIntervalNs < 0 {
 		return fmt.Errorf("core: watchdog/rescan parameters must not be negative")
-	}
-	if c.WatchdogSuspectFraction < 0 || c.WatchdogSuspectFraction > 1 {
-		return fmt.Errorf("core: WatchdogSuspectFraction must be in [0,1]")
-	}
-	if c.WatchdogMaxVPI < 0 {
-		return fmt.Errorf("core: WatchdogMaxVPI must not be negative")
 	}
 	return nil
 }

@@ -58,7 +58,6 @@ func TestConfigValidate(t *testing.T) {
 	for _, mut := range []func(*Config){
 		func(c *Config) { c.ReservedCPUs = 0 },
 		func(c *Config) { c.E = 0 },
-		func(c *Config) { c.T = 1.5 },
 		func(c *Config) { c.IntervalNs = 0 },
 		func(c *Config) { c.SNs = -1 },
 	} {
@@ -302,9 +301,7 @@ func TestLCExitRestoresSiblings(t *testing.T) {
 
 func TestReservedPoolExpansion(t *testing.T) {
 	m, k, fs := newEnv()
-	cfg := testDaemonConfig()
-	cfg.T = 0.8
-	d, _ := Start(k, fs, cfg)
+	d, _ := Start(k, fs, testDaemonConfig())
 	defer d.Stop()
 	// A service with more hot threads than reserved CPUs saturates them.
 	svc := k.Spawn("redis", 4)
@@ -416,59 +413,6 @@ func TestQuietVPIBelowThresholdInterferedAbove(t *testing.T) {
 	}
 	if noisy < 40 {
 		t.Fatalf("interfered VPI = %v, must exceed E=40 (quiet was %v)", noisy, quiet)
-	}
-}
-
-func TestShrinkReleasesExpandedCPUs(t *testing.T) {
-	m, k, fs := newEnv()
-	cfg := testDaemonConfig()
-	cfg.EnableShrink = true
-	d, _ := Start(k, fs, cfg)
-	defer d.Stop()
-	// Saturate the 2 reserved CPUs with 4 hot threads -> expansion.
-	svc := k.Spawn("redis", 4)
-	_ = d.RegisterLC(svc.PID)
-	for _, th := range svc.Threads() {
-		chain(th, lcCost())
-	}
-	m.RunFor(50_000_000)
-	if _, _, _, exp := d.Stats(); exp == 0 {
-		t.Fatal("setup: no expansion")
-	}
-	grown := d.ReservedCPUs().Count()
-	if grown <= 2 {
-		t.Fatal("setup: pool did not grow")
-	}
-	// Load vanishes: the pool must contract back toward the initial size.
-	svc.Exit()
-	m.RunFor(100_000_000)
-	if d.Shrinks() == 0 {
-		t.Fatal("pool never shrank after load vanished")
-	}
-	if got := d.ReservedCPUs().Count(); got != 2 {
-		t.Fatalf("pool at %d CPUs after idle, want the initial 2", got)
-	}
-	// Released CPUs are batch-available again.
-	bm := d.BatchMask()
-	if bm.Count() != 14 {
-		t.Fatalf("batch mask = %v", bm.CPUs())
-	}
-}
-
-func TestShrinkDisabledByDefault(t *testing.T) {
-	m, k, fs := newEnv()
-	d, _ := Start(k, fs, testDaemonConfig())
-	defer d.Stop()
-	svc := k.Spawn("redis", 4)
-	_ = d.RegisterLC(svc.PID)
-	for _, th := range svc.Threads() {
-		chain(th, lcCost())
-	}
-	m.RunFor(50_000_000)
-	svc.Exit()
-	m.RunFor(100_000_000)
-	if d.Shrinks() != 0 {
-		t.Fatal("shrink happened despite being disabled")
 	}
 }
 

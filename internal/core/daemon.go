@@ -56,10 +56,6 @@ type Daemon struct {
 	lastDecisionSpan uint64
 	safeModeSpan     uint64
 
-	// expansionOrder records CPUs acquired by pool expansion, newest
-	// last, so shrinking releases them in reverse order.
-	expansionOrder []int
-
 	// Counter-health watchdog (Config.WatchdogWindow > 0). wdLast/wdRun
 	// track, per logical CPU, the previous reading and how many
 	// consecutive ticks it has repeated exactly while the CPU was busy —
@@ -88,7 +84,6 @@ type Daemon struct {
 	deallocations int64
 	reallocations int64
 	expansions    int64
-	shrinks       int64
 	// lastDeallocNs records when the most recent sibling eviction was
 	// applied (used by the convergence experiment).
 	lastDeallocNs int64
@@ -137,7 +132,7 @@ func Start(k *kernel.Kernel, fs *cgroupfs.FS, cfg Config) (*Daemon, error) {
 	d.tel.resolveSpans(cfg.Spans, cfg.Telemetry, cfg.SpanNode)
 	if d.tel.enabled() {
 		cfg.Telemetry.PublishInfo("holmes.E", fmt.Sprintf("%g", cfg.E))
-		cfg.Telemetry.PublishInfo("holmes.T", fmt.Sprintf("%g", cfg.T))
+		cfg.Telemetry.PublishInfo("holmes.T", fmt.Sprintf("%g", thresholdT))
 		cfg.Telemetry.PublishInfo("holmes.interval_ns", fmt.Sprintf("%d", cfg.IntervalNs))
 		cfg.Telemetry.PublishInfo("holmes.reserved_cpus", fmt.Sprintf("%d", cfg.ReservedCPUs))
 		cfg.Telemetry.PublishInfo("holmes.trigger_metric", string(cfg.TriggerMetric))
@@ -206,9 +201,6 @@ func (d *Daemon) Monitor() *Monitor { return d.mon }
 func (d *Daemon) Stats() (inv, dealloc, realloc, expand int64) {
 	return d.invocations, d.deallocations, d.reallocations, d.expansions
 }
-
-// Shrinks returns the number of pool contractions (EnableShrink only).
-func (d *Daemon) Shrinks() int64 { return d.shrinks }
 
 // LastDeallocNs returns the time of the most recent sibling eviction, or
 // -1 if none happened yet.
@@ -355,7 +347,7 @@ func (d *Daemon) tick(nowNs int64) {
 		interfered := false
 		threshold := d.cfg.E
 		if d.cfg.TriggerMetric == MetricUsage {
-			threshold = d.cfg.UsageEvictThreshold
+			threshold = usageEvictThreshold
 			interfered = usage >= threshold
 		} else {
 			interfered = vpi >= threshold
@@ -398,9 +390,6 @@ func (d *Daemon) tick(nowNs int64) {
 	// Algorithm 2, lines 17-20: reserved-pool expansion when usage
 	// exceeds T of capacity.
 	if d.expandIfNeeded(nowNs) {
-		changed = true
-	}
-	if d.cfg.EnableShrink && d.shrinkIfIdle() {
 		changed = true
 	}
 
@@ -482,6 +471,14 @@ func (d *Daemon) reapExitedLC() {
 	}
 }
 
+// thresholdT is the reserved-CPU usage fraction that triggers pool
+// expansion (paper §5: T = 0.8).
+const thresholdT = 0.8
+
+// usageEvictThreshold is the LC CPU busy fraction at which the MetricUsage
+// ablation evicts the sibling.
+const usageEvictThreshold = 0.5
+
 // expandIfNeeded grows the reserved pool by one CPU when average reserved
 // usage exceeds T. The chosen CPU is never a sibling of a current LC CPU;
 // batch jobs are evicted from it (and its sibling starts blocked).
@@ -490,7 +487,7 @@ func (d *Daemon) expandIfNeeded(nowNs int64) bool {
 	for lc := d.reserved.Next(0); lc >= 0; lc = d.reserved.Next(lc + 1) {
 		usage += d.mon.SmoothedUsage(lc)
 	}
-	if usage <= d.cfg.T*float64(d.reserved.Count()) {
+	if usage <= thresholdT*float64(d.reserved.Count()) {
 		return false
 	}
 	cpus := d.reserved.CPUs()
@@ -526,57 +523,15 @@ func (d *Daemon) expandIfNeeded(nowNs int64) bool {
 	d.reserved.Set(best)
 	d.siblingAllowed[best] = false // deallocate batch from the sibling
 	d.quietSince[best] = -1
-	d.expansionOrder = append(d.expansionOrder, best)
 	d.expansions++
 	d.tel.inc(d.tel.expansions)
 	d.emit(telemetry.Event{Type: telemetry.PoolExpanded,
-		CPU: best, Usage: usage / float64(len(cpus)), Threshold: d.cfg.T})
+		CPU: best, Usage: usage / float64(len(cpus)), Threshold: thresholdT})
 	d.lastDecisionSpan = d.tel.span(telemetry.Span{Kind: telemetry.SpanPoolExpand,
 		StartNs: nowNs, EndNs: nowNs, CPU: best,
 		Value: usage / float64(len(cpus))})
 	// Extend every LC service onto the grown pool (pid order: affinity
 	// changes migrate threads, so iteration order affects placement).
-	for _, pid := range d.sortedLCPids() {
-		_ = d.lcPids[pid].SetAffinity(d.reserved)
-	}
-	return true
-}
-
-// shrinkIfIdle releases the most recently expanded CPU when the reserved
-// pool's smoothed usage would fit in a pool one CPU smaller with headroom
-// (the inverse of the expansion rule, with hysteresis from the EWMA).
-func (d *Daemon) shrinkIfIdle() bool {
-	if len(d.expansionOrder) == 0 {
-		return false
-	}
-	cpus := d.reserved.CPUs()
-	var usage float64
-	for _, lc := range cpus {
-		usage += d.mon.SmoothedUsage(lc)
-	}
-	// Shrink only if the load would keep the smaller pool below T/2 —
-	// well away from the expansion trigger, so the pool cannot flap.
-	if usage >= d.cfg.T*float64(len(cpus)-1)/2 {
-		return false
-	}
-	last := d.expansionOrder[len(d.expansionOrder)-1]
-	d.expansionOrder = d.expansionOrder[:len(d.expansionOrder)-1]
-	d.reserved.Clear(last)
-	d.siblingAllowed[last] = true // the CPU and its sibling return to batch
-	delete(d.quietSince, last)
-	d.shrinks++
-	d.tel.inc(d.tel.shrinks)
-	d.emit(telemetry.Event{Type: telemetry.PoolShrunk,
-		CPU: last, Usage: usage / float64(len(cpus)), Threshold: d.cfg.T / 2})
-	d.lastDecisionSpan = d.tel.span(telemetry.Span{Kind: telemetry.SpanPoolShrink,
-		StartNs: d.m.Now(), EndNs: d.m.Now(), CPU: last,
-		Value: usage / float64(len(cpus))})
-	if id, ok := d.borrowSpan[last]; ok {
-		// The released CPU leaves the reserved pool; its borrow interval
-		// ends with it.
-		d.tel.spanFinish(id, d.m.Now())
-		delete(d.borrowSpan, last)
-	}
 	for _, pid := range d.sortedLCPids() {
 		_ = d.lcPids[pid].SetAffinity(d.reserved)
 	}
@@ -625,39 +580,25 @@ func (d *Daemon) sortedContainerPaths() []string {
 // zeros to count. A reading that repeats *exactly* (bit-identical) is
 // normal for short stretches — counter noise has a finite update
 // granularity — and implausible only past watchdogFlatRun consecutive
-// ticks, the signature of a latched register.
+// ticks, the signature of a latched register. A window whose implausible
+// fraction reaches watchdogSuspectFraction trips safe mode, and a reading
+// above watchdogMaxVPIPerE times E is never physically plausible. Safe
+// mode lifts once the stream has stayed plausible for SNs, the sibling
+// quiet period.
 const (
-	watchdogBusyFloor = 0.02
-	watchdogZeroRun   = 8
-	watchdogFlatRun   = 256
+	watchdogBusyFloor       = 0.02
+	watchdogZeroRun         = 8
+	watchdogFlatRun         = 256
+	watchdogSuspectFraction = 0.5
+	watchdogMaxVPIPerE      = 100
 )
-
-// suspectFraction returns the safe-mode trip threshold with its default.
-func (d *Daemon) suspectFraction() float64 {
-	if d.cfg.WatchdogSuspectFraction <= 0 {
-		return 0.5
-	}
-	return d.cfg.WatchdogSuspectFraction
-}
-
-// safeModeQuietNs returns how long the stream must stay plausible before
-// safe mode lifts, defaulting to the sibling quiet period SNs.
-func (d *Daemon) safeModeQuietNs() int64 {
-	if d.cfg.SafeModeQuietNs > 0 {
-		return d.cfg.SafeModeQuietNs
-	}
-	return d.cfg.SNs
-}
 
 // watchdogScan is the counter-health check, run every tick (including in
 // safe mode, where it decides when to come back out). It inspects the
 // reserved LC CPUs — the ones whose readings drive sibling evictions —
 // and counts implausible samples over a tumbling window of busy samples.
 func (d *Daemon) watchdogScan(nowNs int64) {
-	maxVPI := d.cfg.WatchdogMaxVPI
-	if maxVPI <= 0 {
-		maxVPI = 100 * d.cfg.E
-	}
+	maxVPI := watchdogMaxVPIPerE * d.cfg.E
 	for lc := d.reserved.Next(0); lc >= 0; lc = d.reserved.Next(lc + 1) {
 		vpi, usage := d.mon.VPI(lc), d.mon.Usage(lc)
 		if usage < watchdogBusyFloor {
@@ -685,11 +626,11 @@ func (d *Daemon) watchdogScan(nowNs int64) {
 	if d.wdSamples >= d.cfg.WatchdogWindow {
 		frac := float64(d.wdSuspects) / float64(d.wdSamples)
 		d.wdSamples, d.wdSuspects = 0, 0
-		if !d.safeMode && frac >= d.suspectFraction() {
+		if !d.safeMode && frac >= watchdogSuspectFraction {
 			d.enterSafeMode(nowNs, frac)
 		}
 	}
-	if d.safeMode && nowNs-d.lastBadNs >= d.safeModeQuietNs() {
+	if d.safeMode && nowNs-d.lastBadNs >= d.cfg.SNs {
 		d.exitSafeMode(nowNs)
 	}
 }
@@ -716,7 +657,7 @@ func (d *Daemon) enterSafeMode(nowNs int64, frac float64) {
 		}
 	}
 	d.emit(telemetry.Event{Type: telemetry.SafeModeEntered, CPU: -1,
-		Threshold: d.suspectFraction(),
+		Threshold: watchdogSuspectFraction,
 		Detail:    fmt.Sprintf("suspect fraction %.2f", frac)})
 	d.applyBatchMask()
 	d.updatePoolGauges()

@@ -1,12 +1,13 @@
 package core
 
 import (
+	"github.com/holmes-colocation/holmes/internal/hpe"
 	"github.com/holmes-colocation/holmes/internal/machine"
 	"github.com/holmes-colocation/holmes/internal/perf"
 )
 
 // Monitor is Holmes's metric monitor (§4.2): each invocation it samples,
-// for every logical CPU, the VPI of the configured event over the last
+// for every logical CPU, the VPI of vpiEvent over the last
 // interval and the CPU usage, and aggregates both per physical core.
 type Monitor struct {
 	m   *machine.Machine
@@ -41,6 +42,10 @@ type Monitor struct {
 	coreIndex []int
 }
 
+// vpiEvent is the HPE behind the VPI metric. The paper selects
+// STALLS_MEM_ANY (0x14A3) via the Table 1 correlation study.
+const vpiEvent = hpe.StallsMemAny
+
 // NewMonitor opens the counters and takes the initial snapshot.
 func NewMonitor(m *machine.Machine, cfg Config) (*Monitor, error) {
 	n := m.Topology().LogicalCPUs()
@@ -63,7 +68,7 @@ func NewMonitor(m *machine.Machine, cfg Config) (*Monitor, error) {
 		mon.coreIndex[p] = m.Topology().CoreOf(p)
 	}
 	for p := 0; p < n; p++ {
-		g, err := perf.OpenVPI(m, cfg.Event, p)
+		g, err := perf.OpenVPI(m, vpiEvent, p)
 		if err != nil {
 			return nil, err
 		}

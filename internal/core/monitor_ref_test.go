@@ -42,7 +42,7 @@ func newRefMonitor(m *machine.Machine, cfg Config) *refMonitor {
 		coreUsage:   make([]float64, m.Topology().PhysicalCores()),
 	}
 	for p := 0; p < n; p++ {
-		g, err := perf.OpenGroup(m, p, cfg.Event, hpe.Loads, hpe.Stores)
+		g, err := perf.OpenGroup(m, p, vpiEvent, hpe.Loads, hpe.Stores)
 		if err != nil {
 			panic(err)
 		}

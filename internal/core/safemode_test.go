@@ -37,10 +37,7 @@ func TestWatchdogDisabledByDefault(t *testing.T) {
 	}
 	for _, mut := range []func(*Config){
 		func(c *Config) { c.WatchdogWindow = -1 },
-		func(c *Config) { c.WatchdogSuspectFraction = 1.5 },
-		func(c *Config) { c.WatchdogMaxVPI = -1 },
 		func(c *Config) { c.RescanIntervalNs = -1 },
-		func(c *Config) { c.SafeModeQuietNs = -1 },
 	} {
 		cfg := DefaultConfig()
 		mut(&cfg)

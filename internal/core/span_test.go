@@ -71,7 +71,7 @@ func TestDaemonSpansCausalChain(t *testing.T) {
 		cause := spanByID(spans, write.Parent)
 		if cause != nil {
 			switch cause.Kind {
-			case telemetry.SpanMaskDecision, telemetry.SpanPoolExpand, telemetry.SpanPoolShrink:
+			case telemetry.SpanMaskDecision, telemetry.SpanPoolExpand:
 			default:
 				t.Fatalf("cgroup write parented to %v, want a decision", cause.Kind)
 			}

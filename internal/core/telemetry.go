@@ -44,7 +44,6 @@ type daemonTelemetry struct {
 	deallocations   *telemetry.Counter
 	reallocations   *telemetry.Counter
 	expansions      *telemetry.Counter
-	shrinks         *telemetry.Counter
 	batchFound      *telemetry.Counter
 	safeModeEntries *telemetry.Counter
 	safeModeExits   *telemetry.Counter
@@ -76,7 +75,6 @@ func (dt *daemonTelemetry) resolve(set *telemetry.Set) {
 	dt.deallocations = r.Counter("holmes_deallocations_total", "sibling evictions (VPI >= E)")
 	dt.reallocations = r.Counter("holmes_reallocations_total", "siblings re-offered after quiet period S")
 	dt.expansions = r.Counter("holmes_expansions_total", "reserved-pool expansions (usage > T)")
-	dt.shrinks = r.Counter("holmes_shrinks_total", "reserved-pool contractions")
 	dt.batchFound = r.Counter("holmes_batch_discovered_total", "batch containers discovered via cgroupfs")
 	dt.safeModeEntries = r.Counter("holmes_safe_mode_entries_total", "watchdog fallbacks to the static partition")
 	dt.safeModeExits = r.Counter("holmes_safe_mode_exits_total", "safe-mode recoveries after a quiet period")
@@ -216,7 +214,6 @@ type DaemonStats struct {
 	Deallocations int64
 	Reallocations int64
 	Expansions    int64
-	Shrinks       int64
 	// Graceful-degradation counters (zero unless the watchdog/re-scan
 	// knobs are enabled).
 	SafeModeEntries int64
@@ -236,7 +233,6 @@ func (d *Daemon) Snapshot() DaemonStats {
 		Deallocations:      d.deallocations,
 		Reallocations:      d.reallocations,
 		Expansions:         d.expansions,
-		Shrinks:            d.shrinks,
 		SafeModeEntries:    d.safeModeEntries,
 		SafeModeExits:      d.safeModeExits,
 		Rescans:            d.rescans,

@@ -103,8 +103,8 @@ func TestDecisionTraceCausalOrder(t *testing.T) {
 		t.Fatalf("revocation not stamped with a CPU/core: %+v", rev)
 	}
 	exp := events[first[telemetry.PoolExpanded]]
-	if exp.Threshold != d.cfg.T {
-		t.Fatalf("expansion threshold = %v, want T = %v", exp.Threshold, d.cfg.T)
+	if exp.Threshold != thresholdT {
+		t.Fatalf("expansion threshold = %v, want T = %v", exp.Threshold, thresholdT)
 	}
 
 	// Metrics agree with the daemon's own counters.

@@ -114,10 +114,7 @@ func measureCaladan(seed uint64) (int64, error) {
 		startChain(th, unit)
 	}
 	lcMask := cpuid.MaskOf(0, 1, 2, 3)
-	c, err := isolation.StartCaladan(k, isolation.DefaultCaladanConfig(), lcMask, []*kernel.Process{batchProc})
-	if err != nil {
-		return 0, err
-	}
+	c := isolation.StartCaladan(k, lcMask, []*kernel.Process{batchProc})
 	defer c.Stop()
 	m.RunFor(5_000_000)
 	svc2 := k.Spawn("lc-service", 4)

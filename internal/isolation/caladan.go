@@ -1,8 +1,6 @@
 package isolation
 
 import (
-	"fmt"
-
 	"github.com/holmes-colocation/holmes/internal/cpuid"
 	"github.com/holmes-colocation/holmes/internal/kernel"
 	"github.com/holmes-colocation/holmes/internal/machine"
@@ -19,9 +17,8 @@ import (
 // latency-critical services" signal reduces to run-queue/occupancy
 // observation at this fidelity) and toggles batch access to LC siblings.
 type Caladan struct {
-	cfg CaladanConfig
-	m   *machine.Machine
-	k   *kernel.Kernel
+	m *machine.Machine
+	k *kernel.Kernel
 
 	lcCPUs   cpuid.Mask
 	baseMask cpuid.Mask
@@ -36,29 +33,20 @@ type Caladan struct {
 	stopped     bool
 }
 
-// CaladanConfig parameterizes the reproduction.
-type CaladanConfig struct {
-	// PollNs is the dedicated-core polling interval (~10 µs).
-	PollNs int64
-	// ActiveThreshold is the LC busy fraction that counts as activity.
-	ActiveThreshold float64
-}
-
-// DefaultCaladanConfig mirrors the cited deployment.
-func DefaultCaladanConfig() CaladanConfig {
-	return CaladanConfig{PollNs: 10_000, ActiveThreshold: 0.1}
-}
+// Caladan's tuning, as in the cited deployment.
+const (
+	// caladanPollNs is the dedicated-core polling interval (~10 µs).
+	caladanPollNs = 10_000
+	// caladanActiveThreshold is the LC busy fraction that counts as
+	// activity.
+	caladanActiveThreshold = 0.1
+)
 
 // StartCaladan launches the scheduler watching lcCPUs and managing the
 // batch processes.
-func StartCaladan(k *kernel.Kernel, cfg CaladanConfig, lcCPUs cpuid.Mask,
-	batch []*kernel.Process) (*Caladan, error) {
-	if cfg.PollNs <= 0 {
-		return nil, fmt.Errorf("isolation: invalid Caladan config")
-	}
+func StartCaladan(k *kernel.Kernel, lcCPUs cpuid.Mask, batch []*kernel.Process) *Caladan {
 	m := k.Machine()
 	c := &Caladan{
-		cfg:         cfg,
 		m:           m,
 		k:           k,
 		lcCPUs:      lcCPUs,
@@ -72,8 +60,8 @@ func StartCaladan(k *kernel.Kernel, cfg CaladanConfig, lcCPUs cpuid.Mask,
 	for _, lc := range lcCPUs.CPUs() {
 		c.prevBusy[lc] = m.BusyCycles(lc)
 	}
-	c.stop = m.SchedulePeriodic(cfg.PollNs, c.poll)
-	return c, nil
+	c.stop = m.SchedulePeriodic(caladanPollNs, c.poll)
+	return c
 }
 
 // Stop halts the scheduler.
@@ -116,7 +104,7 @@ func (c *Caladan) poll(nowNs int64) {
 		busy := c.m.BusyCycles(lc)
 		usage := (busy - c.prevBusy[lc]) / (freq * float64(window))
 		c.prevBusy[lc] = busy
-		if usage > c.cfg.ActiveThreshold {
+		if usage > caladanActiveThreshold {
 			active = true
 		}
 	}

@@ -23,32 +23,33 @@ import (
 	"github.com/holmes-colocation/holmes/internal/machine"
 )
 
+// PerfIso's fixed tuning, as in the evaluation setup.
+const (
+	// perfIsoBufferCPUs is the number of idle logical CPUs PerfIso keeps
+	// free for load bursts.
+	perfIsoBufferCPUs = 2
+	// perfIsoIntervalNs is the adjustment interval (PerfIso reacts at
+	// millisecond timescales).
+	perfIsoIntervalNs = 1_000_000 // 1 ms
+	// perfIsoBusyThreshold is the usage fraction above which a CPU counts
+	// busy.
+	perfIsoBusyThreshold = 0.5
+)
+
+// yarnRoot is the cgroup directory the baselines watch for batch
+// containers.
+const yarnRoot = "/yarn"
+
 // PerfIsoConfig parameterizes the PerfIso reproduction.
 type PerfIsoConfig struct {
 	// ReservedCPUs are dedicated to the latency-critical service, as in
 	// the paper's co-location setup (batch jobs get everything else).
 	ReservedCPUs int
-	// BufferCPUs is the number of idle logical CPUs PerfIso keeps free
-	// for load bursts.
-	BufferCPUs int
-	// IntervalNs is the adjustment interval (PerfIso reacts at
-	// millisecond timescales).
-	IntervalNs int64
-	// YarnRoot is the cgroup directory watched for batch containers.
-	YarnRoot string
-	// BusyThreshold is the usage fraction above which a CPU counts busy.
-	BusyThreshold float64
 }
 
 // DefaultPerfIsoConfig mirrors the evaluation setup.
 func DefaultPerfIsoConfig() PerfIsoConfig {
-	return PerfIsoConfig{
-		ReservedCPUs:  4,
-		BufferCPUs:    2,
-		IntervalNs:    1_000_000, // 1 ms
-		YarnRoot:      "/yarn",
-		BusyThreshold: 0.5,
-	}
+	return PerfIsoConfig{ReservedCPUs: 4}
 }
 
 // PerfIso is the running baseline daemon.
@@ -73,7 +74,7 @@ type PerfIso struct {
 
 // StartPerfIso launches the baseline.
 func StartPerfIso(k *kernel.Kernel, fs *cgroupfs.FS, cfg PerfIsoConfig) (*PerfIso, error) {
-	if cfg.ReservedCPUs <= 0 || cfg.IntervalNs <= 0 {
+	if cfg.ReservedCPUs <= 0 {
 		return nil, fmt.Errorf("isolation: invalid PerfIso config %+v", cfg)
 	}
 	m := k.Machine()
@@ -98,7 +99,7 @@ func StartPerfIso(k *kernel.Kernel, fs *cgroupfs.FS, cfg PerfIsoConfig) (*PerfIs
 		p.prevBusy[i] = m.BusyCycles(i)
 	}
 	fs.Watch(p.onCgroupEvent)
-	p.stop = m.SchedulePeriodic(cfg.IntervalNs, p.tick)
+	p.stop = m.SchedulePeriodic(perfIsoIntervalNs, p.tick)
 	return p, nil
 }
 
@@ -135,7 +136,7 @@ func (p *PerfIso) BatchMask() cpuid.Mask {
 }
 
 func (p *PerfIso) onCgroupEvent(ev cgroupfs.Event) {
-	if p.stopped || !strings.HasPrefix(ev.Path, p.cfg.YarnRoot+"/") {
+	if p.stopped || !strings.HasPrefix(ev.Path, yarnRoot+"/") {
 		return
 	}
 	switch ev.Type {
@@ -158,8 +159,9 @@ func (p *PerfIso) onCgroupEvent(ev cgroupfs.Event) {
 	}
 }
 
-// tick maintains the idle-CPU buffer: if fewer than BufferCPUs non-batch
-// CPUs are idle, it withdraws CPUs from batch; if more, it returns them.
+// tick maintains the idle-CPU buffer: if fewer than perfIsoBufferCPUs
+// non-batch CPUs are idle, it withdraws CPUs from batch; if more, it
+// returns them.
 func (p *PerfIso) tick(nowNs int64) {
 	if p.stopped {
 		return
@@ -182,7 +184,7 @@ func (p *PerfIso) tick(nowNs int64) {
 			continue
 		}
 		if p.buffered.Has(c) {
-			if usage < p.cfg.BusyThreshold {
+			if usage < perfIsoBusyThreshold {
 				idleBuffered++
 				idlestBufferedCPU = c
 			}
@@ -193,11 +195,11 @@ func (p *PerfIso) tick(nowNs int64) {
 		}
 	}
 	changed := false
-	if idleBuffered < p.cfg.BufferCPUs && busiestBatchCPU >= 0 {
+	if idleBuffered < perfIsoBufferCPUs && busiestBatchCPU >= 0 {
 		// Grow the buffer: withdraw one CPU from batch.
 		p.buffered.Set(busiestBatchCPU)
 		changed = true
-	} else if idleBuffered > p.cfg.BufferCPUs && idlestBufferedCPU >= 0 {
+	} else if idleBuffered > perfIsoBufferCPUs && idlestBufferedCPU >= 0 {
 		// Shrink the buffer: return one CPU to batch.
 		p.buffered.Clear(idlestBufferedCPU)
 		changed = true

@@ -21,7 +21,6 @@ type Static struct {
 
 	reserved  cpuid.Mask
 	batchMask cpuid.Mask
-	yarnRoot  string
 	lcPids    map[int]*kernel.Process
 	stopped   bool
 }
@@ -29,12 +28,11 @@ type Static struct {
 // StaticConfig parameterizes the baseline.
 type StaticConfig struct {
 	ReservedCPUs int
-	YarnRoot     string
 }
 
 // DefaultStaticConfig mirrors the evaluation setup.
 func DefaultStaticConfig() StaticConfig {
-	return StaticConfig{ReservedCPUs: 4, YarnRoot: "/yarn"}
+	return StaticConfig{ReservedCPUs: 4}
 }
 
 // StartStatic installs the static partition.
@@ -47,7 +45,7 @@ func StartStatic(k *kernel.Kernel, fs *cgroupfs.FS, cfg StaticConfig) (*Static, 
 		return nil, fmt.Errorf("isolation: %d reserved CPUs exceed %d cores",
 			cfg.ReservedCPUs, topo.PhysicalCores())
 	}
-	s := &Static{k: k, fs: fs, yarnRoot: cfg.YarnRoot, lcPids: map[int]*kernel.Process{}}
+	s := &Static{k: k, fs: fs, lcPids: map[int]*kernel.Process{}}
 	for i := 0; i < cfg.ReservedCPUs; i++ {
 		s.reserved.Set(i)
 	}
@@ -81,7 +79,7 @@ func (s *Static) RegisterLC(pid int) error {
 
 func (s *Static) onCgroupEvent(ev cgroupfs.Event) {
 	if s.stopped || ev.Type != cgroupfs.PidsChanged ||
-		!strings.HasPrefix(ev.Path, s.yarnRoot+"/") {
+		!strings.HasPrefix(ev.Path, yarnRoot+"/") {
 		return
 	}
 	g := s.fs.Lookup(ev.Path)

@@ -62,15 +62,6 @@ type bucketNode struct {
 
 // New creates an empty store.
 func New(cfg Config) *Store {
-	if cfg.MemoryLimit == 0 {
-		cfg.MemoryLimit = 1 << 30
-	}
-	if cfg.LLCBytes == 0 {
-		cfg.LLCBytes = kvstore.DefaultLLCBytes
-	}
-	if cfg.HashPower <= 0 {
-		cfg.HashPower = 16
-	}
 	s := &Store{
 		cfg:     cfg,
 		buckets: make([]*bucketNode, 1<<cfg.HashPower),

@@ -21,32 +21,33 @@ type Config struct {
 	LLCBytes int64
 	// MemtableBytes triggers a flush when the active memtable exceeds it.
 	MemtableBytes int64
-	// BlockBytes is the data block size (RocksDB default 4 KB).
-	BlockBytes int64
 	// BlockCacheBytes is the block cache capacity.
 	BlockCacheBytes int64
-	// L0CompactionTrigger compacts L0 into L1 at this many L0 tables.
-	L0CompactionTrigger int
 	// LevelBaseBytes is the L1 size budget; each deeper level is 10x.
 	LevelBaseBytes int64
 	// MaxTableBytes bounds the size of tables produced by compaction.
 	MaxTableBytes int64
-	// BloomBitsPerKey is the filter budget.
-	BloomBitsPerKey int
 }
+
+// Fixed table-format and compaction settings of the RocksDB 6 setup.
+const (
+	// blockBytes is the data block size (RocksDB default 4 KB).
+	blockBytes = 4 << 10
+	// l0CompactionTrigger compacts L0 into L1 at this many L0 tables.
+	l0CompactionTrigger = 4
+	// bloomBitsPerKey is the filter budget.
+	bloomBitsPerKey = 10
+)
 
 // DefaultConfig mirrors a small-instance RocksDB 6 setup.
 func DefaultConfig() Config {
 	return Config{
-		Seed:                1,
-		LLCBytes:            kvstore.DefaultLLCBytes,
-		MemtableBytes:       4 << 20,
-		BlockBytes:          4 << 10,
-		BlockCacheBytes:     64 << 20,
-		L0CompactionTrigger: 4,
-		LevelBaseBytes:      32 << 20,
-		MaxTableBytes:       8 << 20,
-		BloomBitsPerKey:     10,
+		Seed:            1,
+		LLCBytes:        kvstore.DefaultLLCBytes,
+		MemtableBytes:   4 << 20,
+		BlockCacheBytes: 64 << 20,
+		LevelBaseBytes:  32 << 20,
+		MaxTableBytes:   8 << 20,
 	}
 }
 
@@ -74,31 +75,6 @@ type Store struct {
 
 // New creates an empty store.
 func New(cfg Config) *Store {
-	d := DefaultConfig()
-	if cfg.LLCBytes == 0 {
-		cfg.LLCBytes = d.LLCBytes
-	}
-	if cfg.MemtableBytes == 0 {
-		cfg.MemtableBytes = d.MemtableBytes
-	}
-	if cfg.BlockBytes == 0 {
-		cfg.BlockBytes = d.BlockBytes
-	}
-	if cfg.BlockCacheBytes == 0 {
-		cfg.BlockCacheBytes = d.BlockCacheBytes
-	}
-	if cfg.L0CompactionTrigger == 0 {
-		cfg.L0CompactionTrigger = d.L0CompactionTrigger
-	}
-	if cfg.LevelBaseBytes == 0 {
-		cfg.LevelBaseBytes = d.LevelBaseBytes
-	}
-	if cfg.MaxTableBytes == 0 {
-		cfg.MaxTableBytes = d.MaxTableBytes
-	}
-	if cfg.BloomBitsPerKey == 0 {
-		cfg.BloomBitsPerKey = d.BloomBitsPerKey
-	}
 	return &Store{
 		cfg:        cfg,
 		mem:        kvstore.NewSkiplist(cfg.Seed),
@@ -198,15 +174,15 @@ const (
 // touchBlock charges a block access: cache hit costs memory reads (with
 // CPU-cache residency), a miss costs a device read plus insert+decode.
 func (s *Store) touchBlock(t *sstable, block int32, cost *workload.Cost, ssdReads *int) {
-	if s.blockCache.Touch(blockID{t.id, block}, s.cfg.BlockBytes) {
-		cost.Add(s.res.TouchRecord(tagBlock, t.blockNames[block], s.cfg.BlockBytes/8, false))
+	if s.blockCache.Touch(blockID{t.id, block}, blockBytes) {
+		cost.Add(s.res.TouchRecord(tagBlock, t.blockNames[block], blockBytes/8, false))
 		return
 	}
 	*ssdReads++
 	// Fill: the freshly read block is written into cache memory and
 	// decoded (checksum + restart-point parse).
-	cost.Add(workload.WriteBytes(workload.DRAM, s.cfg.BlockBytes))
-	cost.Add(workload.Compute(float64(s.cfg.BlockBytes) / 16))
+	cost.Add(workload.WriteBytes(workload.DRAM, blockBytes))
+	cost.Add(workload.Compute(float64(blockBytes) / 16))
 }
 
 // Read implements kvstore.Store.
@@ -243,7 +219,7 @@ func (s *Store) Read(key string) kvstore.Result {
 			if block >= 0 {
 				s.touchBlock(t, block, &cost, &ssdReads)
 				// Scanning within the block for the key.
-				cost.Add(workload.Compute(float64(s.cfg.BlockBytes) / 64))
+				cost.Add(workload.Compute(float64(blockBytes) / 64))
 			}
 			if ok {
 				if e.del {
@@ -337,7 +313,7 @@ func (s *Store) flush() {
 		entries = append(entries, entry{key: k, value: v, del: v == nil})
 	})
 	s.nextSSTID++
-	t := buildSSTable(s.nextSSTID, 0, entries, s.cfg.BlockBytes, s.cfg.BloomBitsPerKey)
+	t := buildSSTable(s.nextSSTID, 0, entries, blockBytes, bloomBitsPerKey)
 	// Newest first in L0.
 	s.levels[0] = append([]*sstable{t}, s.levels[0]...)
 	s.flushes++
@@ -358,7 +334,7 @@ func (s *Store) flush() {
 	s.memBytes = 0
 	s.walBytes = 0
 
-	if len(s.levels[0]) >= s.cfg.L0CompactionTrigger {
+	if len(s.levels[0]) >= l0CompactionTrigger {
 		s.compact(0)
 	}
 	s.maybeCompactDeeper()
@@ -451,7 +427,7 @@ func (s *Store) compact(l int) {
 			return
 		}
 		s.nextSSTID++
-		nt := buildSSTable(s.nextSSTID, l+1, cur, s.cfg.BlockBytes, s.cfg.BloomBitsPerKey)
+		nt := buildSSTable(s.nextSSTID, l+1, cur, blockBytes, bloomBitsPerKey)
 		outTables = append(outTables, nt)
 		outBytes += nt.size
 		cur, curBytes = nil, 0
@@ -493,8 +469,8 @@ func (s *Store) compact(l int) {
 	s.bg = append(s.bg, kvstore.BackgroundTask{
 		Desc:      fmt.Sprintf("compact L%d->L%d (%d -> %d bytes)", l, l+1, inBytes, outBytes),
 		Cost:      c,
-		SSDReads:  int(inBytes / s.cfg.BlockBytes),
-		SSDWrites: int(outBytes / s.cfg.BlockBytes),
+		SSDReads:  int(inBytes / blockBytes),
+		SSDWrites: int(outBytes / blockBytes),
 	})
 }
 

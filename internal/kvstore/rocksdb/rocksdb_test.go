@@ -169,7 +169,7 @@ func TestCompactionKeepsDataAndShrinksL0(t *testing.T) {
 		t.Fatal("no compactions despite many flushes")
 	}
 	counts := s.LevelTableCounts()
-	if counts[0] >= s.cfg.L0CompactionTrigger+1 {
+	if counts[0] >= l0CompactionTrigger+1 {
 		t.Fatalf("L0 not being compacted: %v", counts)
 	}
 	deeper := 0

@@ -64,22 +64,6 @@ type Store struct {
 
 // New creates an empty store.
 func New(cfg Config) *Store {
-	d := DefaultConfig()
-	if cfg.LLCBytes == 0 {
-		cfg.LLCBytes = d.LLCBytes
-	}
-	if cfg.LeafPageBytes == 0 {
-		cfg.LeafPageBytes = d.LeafPageBytes
-	}
-	if cfg.InnerFanout == 0 {
-		cfg.InnerFanout = d.InnerFanout
-	}
-	if cfg.CacheBytes == 0 {
-		cfg.CacheBytes = d.CacheBytes
-	}
-	if cfg.CheckpointEveryOps == 0 {
-		cfg.CheckpointEveryOps = d.CheckpointEveryOps
-	}
 	s := &Store{
 		cfg:   cfg,
 		tree:  newBtree(cfg.LeafPageBytes, cfg.InnerFanout),

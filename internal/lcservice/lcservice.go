@@ -68,26 +68,42 @@ func DefaultConfigFor(storeName string) Config {
 	}
 }
 
-// NewStore constructs the named store under its default configuration;
-// seed drives the stores with randomized internals (all but memcached).
-func NewStore(name string, seed uint64) (kvstore.Store, error) {
-	switch name {
-	case "redis":
+// stores builds each known store under its default configuration; seed
+// drives the stores with randomized internals (all but memcached).
+var stores = map[string]func(seed uint64) kvstore.Store{
+	"redis": func(seed uint64) kvstore.Store {
 		cfg := redis.DefaultConfig()
 		cfg.Seed = seed
-		return redis.New(cfg), nil
-	case "memcached":
-		return memcached.New(memcached.DefaultConfig()), nil
-	case "rocksdb":
+		return redis.New(cfg)
+	},
+	"memcached": func(uint64) kvstore.Store {
+		return memcached.New(memcached.DefaultConfig())
+	},
+	"rocksdb": func(seed uint64) kvstore.Store {
 		cfg := rocksdb.DefaultConfig()
 		cfg.Seed = seed
-		return rocksdb.New(cfg), nil
-	case "wiredtiger":
+		return rocksdb.New(cfg)
+	},
+	"wiredtiger": func(seed uint64) kvstore.Store {
 		cfg := wiredtiger.DefaultConfig()
 		cfg.Seed = seed
-		return wiredtiger.New(cfg), nil
+		return wiredtiger.New(cfg)
+	},
+}
+
+// IsStore reports whether NewStore knows the named store.
+func IsStore(name string) bool {
+	_, ok := stores[name]
+	return ok
+}
+
+// NewStore constructs the named store under its default configuration.
+func NewStore(name string, seed uint64) (kvstore.Store, error) {
+	build, ok := stores[name]
+	if !ok {
+		return nil, fmt.Errorf("lcservice: unknown store %q", name)
 	}
-	return nil, fmt.Errorf("lcservice: unknown store %q", name)
+	return build(seed), nil
 }
 
 // Service is a running latency-critical service.

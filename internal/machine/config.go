@@ -24,19 +24,78 @@ func SetDefaultIntervalBatching(on bool) { intervalBatchingDisabled.Store(!on) }
 // DefaultIntervalBatching reports the current process-wide default.
 func DefaultIntervalBatching() bool { return !intervalBatchingDisabled.Load() }
 
-// Config parameterizes the simulated server. The defaults are calibrated
-// against the paper's measurements on a 2×Xeon Gold 6143 testbed:
+// The machine model's calibration, fitted to the paper's measurements on a
+// 2×Xeon Gold 6143 testbed:
 //
 //   - A single m-thread reading random 1 MB blocks of a 600 MB buffer sees
 //     ~1,400 µs per block (Fig. 2). With 16,384 cache lines per block that
 //     is ~85 ns of effective stall per line, which at 2 GHz is 170 cycles —
-//     the DRAMCycles default (memory-level parallelism folded in).
+//     dramCycles (memory-level parallelism folded in).
 //   - Two m-threads on hyperthread siblings see ~2,300 µs per block, a
-//     1.64× inflation, which fixes InterfDRAMMem ≈ 0.65.
+//     1.64× inflation, which fixes interfDRAMMem ≈ 0.65.
 //   - The §3.1 measurement program peaks near 74 kRPS alone and ~45 kRPS
 //     with a saturated sibling; 74/45 ≈ 1.64 confirms the same coefficient.
 //   - A compute-bound sibling inflates memory latency far less (Fig. 2
-//     case 6), fixing InterfDRAMEU ≈ 0.12.
+//     case 6), fixing interfDRAMEU ≈ 0.12.
+const (
+	// Effective per-access stall cycles at zero contention. Memory-level
+	// parallelism is folded into these values.
+	l2Cycles   = 6
+	l3Cycles   = 30
+	dramCycles = 170
+	// storeCycles is the commit cost of a store; the store buffer hides
+	// the rest.
+	storeCycles = 1.5
+
+	// SMT interference coefficients: the effective latency of an access at
+	// a level is multiplied by 1 + Mem*sibMemDuty + EU*sibEUDuty, where the
+	// duty cycles are the sibling hardware thread's previous-tick memory
+	// stall and execution fractions.
+	interfDRAMMem = 0.65
+	interfDRAMEU  = 0.12
+	interfL3Mem   = 0.20
+	interfL3EU    = 0.10
+	interfL2Mem   = 0.05
+
+	// Execution-unit contention: compute cycles are multiplied by
+	// 1 + euContention*sibEUDuty + euMemContention*sibMemDuty.
+	euContention    = 0.50
+	euMemContention = 0.25
+
+	// bandwidthGBs is the total DRAM bandwidth. The queueing penalty is
+	// negligible below ~80% utilization, modeling the paper's finding that
+	// bandwidth is not the bottleneck on modern servers.
+	bandwidthGBs = 40
+
+	// Counter attribution noise: per-counter multiplicative
+	// Ornstein-Uhlenbeck noise modeling run-to-run PMU attribution
+	// variance. Sigmas are stationary standard deviations; the state
+	// updates every noiseIntervalNs with correlation time noiseTauNs.
+	// This is what separates the Table 1 correlation scores of the four
+	// candidate events.
+	noiseIntervalNs   = 10_000_000  // 10 ms
+	noiseTauNs        = 500_000_000 // 0.5 s
+	sigmaStallsMemAny = 0.002
+	sigmaCyclesMemAny = 0.006
+	sigmaStallsL3Miss = 0.012
+	sigmaCyclesL3Miss = 0.08
+
+	// Occupancy model for CYCLES_L3_MISS: cycles with >=1 outstanding
+	// L3-miss per DRAM access, as a function of the thread's own memory
+	// duty (more in-flight misses overlap the window) and the sibling's
+	// (interference lengthens individual misses but degrades miss-level
+	// parallelism, shrinking per-access occupancy).
+	occupancyBase   = 0.90
+	occupancyOwnMem = 0.0
+	occupancySibMem = 0.12
+	// cyclesMemAnyExecFrac is the fraction of execution cycles that also
+	// count toward CYCLES_MEM_ANY occupancy (execution overlapping
+	// outstanding loads).
+	cyclesMemAnyExecFrac = 0.15
+)
+
+// Config parameterizes the simulated server; the model's calibration is
+// fixed (see the constants above).
 type Config struct {
 	Topology cpuid.Topology
 	// FreqGHz is the core clock. Cycle<->nanosecond conversions use it.
@@ -61,64 +120,10 @@ type Config struct {
 	// flag is inert. DefaultConfig enables it unless
 	// SetDefaultIntervalBatching(false) was called.
 	IntervalBatching bool
-
-	// Effective per-access stall cycles at zero contention. Memory-level
-	// parallelism is folded into these values.
-	L2Cycles   float64
-	L3Cycles   float64
-	DRAMCycles float64
-	// StoreCycles is the commit cost of a store; the store buffer hides
-	// the rest.
-	StoreCycles float64
-
-	// SMT interference coefficients: the effective latency of an access at
-	// a level is multiplied by 1 + Mem*sibMemDuty + EU*sibEUDuty, where the
-	// duty cycles are the sibling hardware thread's previous-tick memory
-	// stall and execution fractions.
-	InterfDRAMMem float64
-	InterfDRAMEU  float64
-	InterfL3Mem   float64
-	InterfL3EU    float64
-	InterfL2Mem   float64
-
-	// Execution-unit contention: compute cycles are multiplied by
-	// 1 + EUContention*sibEUDuty + EUMemContention*sibMemDuty.
-	EUContention    float64
-	EUMemContention float64
-
-	// BandwidthGBs is the total DRAM bandwidth. The queueing penalty is
-	// negligible below ~80% utilization, modeling the paper's finding that
-	// bandwidth is not the bottleneck on modern servers.
-	BandwidthGBs float64
-
-	// Counter attribution noise: per-counter multiplicative
-	// Ornstein-Uhlenbeck noise modeling run-to-run PMU attribution
-	// variance. Sigmas are stationary standard deviations; the state
-	// updates every NoiseIntervalNs with correlation time NoiseTauNs.
-	// This is what separates the Table 1 correlation scores of the four
-	// candidate events.
-	NoiseIntervalNs   int64
-	NoiseTauNs        int64
-	SigmaStallsMemAny float64
-	SigmaCyclesMemAny float64
-	SigmaStallsL3Miss float64
-	SigmaCyclesL3Miss float64
-
-	// Occupancy model for CYCLES_L3_MISS: cycles with >=1 outstanding
-	// L3-miss per DRAM access, as a function of the thread's own memory
-	// duty (more in-flight misses overlap the window) and the sibling's
-	// (interference lengthens individual misses but degrades miss-level
-	// parallelism, shrinking per-access occupancy).
-	OccupancyBase   float64
-	OccupancyOwnMem float64
-	OccupancySibMem float64
-	// CyclesMemAnyExecFrac is the fraction of execution cycles that also
-	// count toward CYCLES_MEM_ANY occupancy (execution overlapping
-	// outstanding loads).
-	CyclesMemAnyExecFrac float64
 }
 
-// DefaultConfig returns the calibrated configuration described above.
+// DefaultConfig returns the paper's server: the default topology at
+// 2 GHz with a 10 µs tick.
 func DefaultConfig() Config {
 	return Config{
 		Topology:         cpuid.DefaultTopology(),
@@ -126,35 +131,6 @@ func DefaultConfig() Config {
 		TickNs:           10_000, // 10 µs
 		Seed:             1,
 		IntervalBatching: DefaultIntervalBatching(),
-
-		L2Cycles:    6,
-		L3Cycles:    30,
-		DRAMCycles:  170,
-		StoreCycles: 1.5,
-
-		InterfDRAMMem: 0.65,
-		InterfDRAMEU:  0.12,
-		InterfL3Mem:   0.20,
-		InterfL3EU:    0.10,
-		InterfL2Mem:   0.05,
-
-		EUContention:    0.50,
-		EUMemContention: 0.25,
-
-		BandwidthGBs: 40,
-
-		NoiseIntervalNs:   10_000_000,  // 10 ms
-		NoiseTauNs:        500_000_000, // 0.5 s
-		SigmaStallsMemAny: 0.002,
-		SigmaCyclesMemAny: 0.006,
-		SigmaStallsL3Miss: 0.012,
-		SigmaCyclesL3Miss: 0.08,
-
-		OccupancyBase:   0.90,
-		OccupancyOwnMem: 0.0,
-		OccupancySibMem: 0.12,
-
-		CyclesMemAnyExecFrac: 0.15,
 	}
 }
 
@@ -168,15 +144,6 @@ func (c Config) Validate() error {
 	}
 	if c.TickNs <= 0 {
 		return fmt.Errorf("machine: TickNs must be positive, got %d", c.TickNs)
-	}
-	if c.DRAMCycles <= 0 || c.L3Cycles <= 0 || c.L2Cycles < 0 {
-		return fmt.Errorf("machine: invalid memory latencies")
-	}
-	if c.BandwidthGBs <= 0 {
-		return fmt.Errorf("machine: BandwidthGBs must be positive")
-	}
-	if c.NoiseIntervalNs <= 0 || c.NoiseTauNs <= 0 {
-		return fmt.Errorf("machine: noise interval and tau must be positive")
 	}
 	return nil
 }

@@ -120,7 +120,7 @@ func (m *Machine) stepInterval(end int64) {
 	// The opening tick ran maybeUpdateNoise, so lastNoiseUpdate >= 0 and
 	// the next update is due exactly at the first tick starting at or
 	// after this deadline.
-	noiseDeadline := m.lastNoiseUpdate + m.cfg.NoiseIntervalNs
+	noiseDeadline := m.lastNoiseUpdate + noiseIntervalNs
 	var ran int64
 	for ran < horizon && m.now < end && m.now < noiseDeadline && *gen == g0 {
 		// An event due at or before this tick's start must fire before

@@ -201,16 +201,16 @@ func New(cfg Config) *Machine {
 		siblingOf:       make([]int, n),
 		cyclesPerTick:   cfg.CyclesPerTick(),
 		tickNsF:         float64(cfg.TickNs),
-		bwCapBytes:      cfg.BandwidthGBs * float64(cfg.TickNs), // GB/s * ns = bytes
-		noiseRho:        math.Exp(-float64(cfg.NoiseIntervalNs) / float64(cfg.NoiseTauNs)),
+		bwCapBytes:      bandwidthGBs * float64(cfg.TickNs), // GB/s * ns = bytes
+		noiseRho:        math.Exp(-float64(noiseIntervalNs) / float64(noiseTauNs)),
 		dutyClean:       true,
 	}
 	m.noiseDrive = math.Sqrt(1 - m.noiseRho*m.noiseRho)
 	m.noiseSigmas = [4]float64{
-		nStallsMemAny: cfg.SigmaStallsMemAny,
-		nCyclesMemAny: cfg.SigmaCyclesMemAny,
-		nStallsL3Miss: cfg.SigmaStallsL3Miss,
-		nCyclesL3Miss: cfg.SigmaCyclesL3Miss,
+		nStallsMemAny: sigmaStallsMemAny,
+		nCyclesMemAny: sigmaCyclesMemAny,
+		nStallsL3Miss: sigmaStallsL3Miss,
+		nCyclesL3Miss: sigmaCyclesL3Miss,
 	}
 	for p := 0; p < n; p++ {
 		m.siblingOf[p] = cfg.Topology.SiblingOf(p)
@@ -506,10 +506,10 @@ func (m *Machine) interferenceFast(p int) (fDRAM, fL3, fL2, fEU float64, ok bool
 
 // interferenceMiss recomputes and re-memoizes the factors on a cache miss.
 func (m *Machine) interferenceMiss(c *lcpu, memD, euD float64) (fDRAM, fL3, fL2, fEU float64) {
-	fDRAM = 1 + m.cfg.InterfDRAMMem*memD + m.cfg.InterfDRAMEU*euD
-	fL3 = 1 + m.cfg.InterfL3Mem*memD + m.cfg.InterfL3EU*euD
-	fL2 = 1 + m.cfg.InterfL2Mem*memD
-	fEU = 1 + m.cfg.EUContention*euD + m.cfg.EUMemContention*memD
+	fDRAM = 1 + interfDRAMMem*memD + interfDRAMEU*euD
+	fL3 = 1 + interfL3Mem*memD + interfL3EU*euD
+	fL2 = 1 + interfL2Mem*memD
+	fEU = 1 + euContention*euD + euMemContention*memD
 	fDRAM *= m.bwFactor
 	c.ifMemD, c.ifEuD, c.ifBw = memD, euD, m.bwFactor
 	c.ifDRAM, c.ifL3, c.ifL2, c.ifEU = fDRAM, fL3, fL2, fEU
@@ -532,10 +532,10 @@ func (m *Machine) effectiveCost(c *workload.Cost, pure bool, fDRAM, fL3, fL2, fE
 // effectiveCostMem prices the memory-access side of a cost.
 func (m *Machine) effectiveCostMem(c *workload.Cost, execIn, fDRAM, fL3, fL2 float64) (exec, memStall, dramStall float64) {
 	exec = execIn
-	l2 := float64(c.Acc[workload.L2].Loads) * m.cfg.L2Cycles * fL2
-	l3 := float64(c.Acc[workload.L3].Loads) * m.cfg.L3Cycles * fL3
-	dram := float64(c.Acc[workload.DRAM].Loads) * m.cfg.DRAMCycles * fDRAM
-	stores := float64(c.Stores()) * m.cfg.StoreCycles
+	l2 := float64(c.Acc[workload.L2].Loads) * l2Cycles * fL2
+	l3 := float64(c.Acc[workload.L3].Loads) * l3Cycles * fL3
+	dram := float64(c.Acc[workload.DRAM].Loads) * dramCycles * fDRAM
+	stores := float64(c.Stores()) * storeCycles
 	exec += stores // store commit occupies execution, not the memory pipe
 	memStall = l2 + l3 + dram
 	dramStall = dram
@@ -674,7 +674,7 @@ func (m *Machine) attribute(c *lcpu, p int, compute, loads, stores, dramLoads, e
 	}
 
 	// CYCLES_MEM_ANY adds the execute-overlap window on top of stalls.
-	c.counters.CyclesMemAny += (memStall + m.cfg.CyclesMemAnyExecFrac*exec) *
+	c.counters.CyclesMemAny += (memStall + cyclesMemAnyExecFrac*exec) *
 		(1 + c.noise[nCyclesMemAny])
 
 	// CYCLES_L3_MISS is an occupancy count: cycles with >=1 outstanding
@@ -689,9 +689,9 @@ func (m *Machine) attribute(c *lcpu, p int, compute, loads, stores, dramLoads, e
 	if dramLoads != 0 {
 		sib := &m.lcpus[m.siblingOf[p]]
 		ownMem := c.memDuty
-		occ := m.cfg.DRAMCycles * (m.cfg.OccupancyBase +
-			m.cfg.OccupancyOwnMem*ownMem -
-			m.cfg.OccupancySibMem*sib.memDuty)
+		occ := dramCycles * (occupancyBase +
+			occupancyOwnMem*ownMem -
+			occupancySibMem*sib.memDuty)
 		if occ < 0 {
 			occ = 0
 		}
@@ -732,7 +732,7 @@ func rawBandwidthFactor(bytesLastTick int64, cap float64) float64 {
 
 // maybeUpdateNoise advances the per-counter OU noise states.
 func (m *Machine) maybeUpdateNoise() {
-	if m.lastNoiseUpdate >= 0 && m.now < m.lastNoiseUpdate+m.cfg.NoiseIntervalNs {
+	if m.lastNoiseUpdate >= 0 && m.now < m.lastNoiseUpdate+noiseIntervalNs {
 		return
 	}
 	m.updateNoiseAt(m.now)
@@ -754,14 +754,14 @@ func (m *Machine) updateNoiseAt(t int64) {
 
 // replayNoise performs the noise updates that tick-by-tick execution would
 // have performed at the skipped tick starts in [m.now, target): each fires
-// at the first tick boundary >= lastNoiseUpdate + NoiseIntervalNs, drawing
+// at the first tick boundary >= lastNoiseUpdate + noiseIntervalNs, drawing
 // the same RNG values at the same times, so the stochastic stream is
 // byte-identical to not having skipped.
 func (m *Machine) replayNoise(target int64) {
 	for {
 		next := m.now // a machine that has never updated does so immediately
 		if m.lastNoiseUpdate >= 0 {
-			next = m.ceilTick(m.lastNoiseUpdate + m.cfg.NoiseIntervalNs)
+			next = m.ceilTick(m.lastNoiseUpdate + noiseIntervalNs)
 			if next <= m.lastNoiseUpdate {
 				next = m.lastNoiseUpdate + m.cfg.TickNs
 			}

@@ -42,11 +42,6 @@ func TestConfigValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("negative tick should be invalid")
 	}
-	bad = good
-	bad.BandwidthGBs = 0
-	if bad.Validate() == nil {
-		t.Fatal("zero bandwidth should be invalid")
-	}
 }
 
 func TestClockAdvances(t *testing.T) {
@@ -389,7 +384,7 @@ func TestBandwidthFactorKnee(t *testing.T) {
 	if low != 1 {
 		t.Fatalf("idle bandwidth factor = %v", low)
 	}
-	capBytes := int64(m.cfg.BandwidthGBs * float64(m.cfg.TickNs))
+	capBytes := int64(bandwidthGBs * float64(m.cfg.TickNs))
 	mid := m.bandwidthFactor(capBytes / 2) // 50% utilization
 	if mid > 1.05 {
 		t.Fatalf("50%% utilization factor = %v, want negligible", mid)

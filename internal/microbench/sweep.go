@@ -28,20 +28,21 @@ type SweepConfig struct {
 	WindowNs int64
 	// StepRPS is the rate increment (paper: 5,000).
 	StepRPS float64
-	// OneThreadMaxRPS bounds the single-thread sweep (paper: ~74,000).
-	OneThreadMaxRPS float64
-	// SiblingMaxRPS bounds the sibling sweep (paper: ~45,000).
-	SiblingMaxRPS float64
 }
+
+// The sweeps' upper rates: the single-thread sweep stops below the
+// paper's ~74,000 RPS peak, the sibling sweep at its ~45,000.
+const (
+	oneThreadMaxRPS = 70_000
+	siblingMaxRPS   = 45_000
+)
 
 // DefaultSweepConfig mirrors the paper's settings.
 func DefaultSweepConfig() SweepConfig {
 	return SweepConfig{
-		Machine:         machine.DefaultConfig(),
-		WindowNs:        1_000_000_000,
-		StepRPS:         5_000,
-		OneThreadMaxRPS: 70_000,
-		SiblingMaxRPS:   45_000,
+		Machine:  machine.DefaultConfig(),
+		WindowNs: 1_000_000_000,
+		StepRPS:  5_000,
 	}
 }
 
@@ -53,7 +54,7 @@ func RunSweep(cfg SweepConfig) Sweep {
 	// One-thread configuration: rate from StepRPS to the maximum, then a
 	// closed-loop point at the true peak.
 	point := 0
-	for rps := cfg.StepRPS; rps <= cfg.OneThreadMaxRPS; rps += cfg.StepRPS {
+	for rps := cfg.StepRPS; rps <= oneThreadMaxRPS; rps += cfg.StepRPS {
 		point++
 		sw.OneThread = append(sw.OneThread, runOnePoint(cfg, seed+uint64(point), rps))
 	}
@@ -62,7 +63,7 @@ func RunSweep(cfg SweepConfig) Sweep {
 
 	// Two-thread configuration: thread A saturated on logical CPU 0,
 	// thread B on its sibling at a varying rate.
-	for rps := cfg.StepRPS; rps <= cfg.SiblingMaxRPS; rps += cfg.StepRPS {
+	for rps := cfg.StepRPS; rps <= siblingMaxRPS; rps += cfg.StepRPS {
 		point++
 		maxPt, varPt := runSiblingPoint(cfg, seed+uint64(point)*31, rps)
 		sw.MaxThread = append(sw.MaxThread, maxPt)

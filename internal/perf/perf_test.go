@@ -162,11 +162,11 @@ func TestVPIGroupSample(t *testing.T) {
 		t.Fatalf("idle VPI = %v", got)
 	}
 	// DRAM-bound work: VPI approximates the effective DRAM stall cycles
-	// per access (~DRAMCycles with no interference).
+	// per access (the machine model's 170 uncontended DRAM cycles).
 	th.Push(dramWork(20000))
 	m.RunFor(10_000_000)
 	got := v.Sample()
-	dram := m.Config().DRAMCycles
+	const dram = 170.0
 	if got < dram*0.9 || got > dram*1.15 {
 		t.Fatalf("uncontended DRAM VPI = %v, want ~%v", got, dram)
 	}

@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"github.com/holmes-colocation/holmes/internal/kvstore"
+	"github.com/holmes-colocation/holmes/internal/lcservice"
 	"github.com/holmes-colocation/holmes/internal/machine"
 	"github.com/holmes-colocation/holmes/internal/stats"
 	"github.com/holmes-colocation/holmes/internal/trace"
@@ -101,9 +102,7 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario: at least one service required")
 	}
 	for _, svc := range s.Services {
-		switch svc.Store {
-		case "redis", "memcached", "rocksdb", "wiredtiger":
-		default:
+		if !lcservice.IsStore(svc.Store) {
 			return fmt.Errorf("scenario: unknown store %q", svc.Store)
 		}
 		if _, err := ycsb.ByName(defaultStr(svc.Workload, "a")); err != nil {

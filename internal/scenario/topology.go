@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"github.com/holmes-colocation/holmes/internal/lcservice"
 )
 
 // Topology is the declarative cluster-composition spec: replicated
@@ -203,9 +205,7 @@ func (t Topology) Validate() error {
 			return fmt.Errorf("topology: duplicate service name %q", s.Name)
 		}
 		seen[s.Name] = true
-		switch s.Store {
-		case "redis", "memcached", "rocksdb", "wiredtiger":
-		default:
+		if !lcservice.IsStore(s.Store) {
 			return fmt.Errorf("topology: service %s: unknown store %q", s.Name, s.Store)
 		}
 		if s.Workload != "" {

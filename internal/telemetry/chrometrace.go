@@ -96,7 +96,7 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 func spanCategory(k SpanKind) string {
 	switch k {
 	case SpanCounterSample, SpanVPIEstimate, SpanMaskDecision, SpanCgroupWrite,
-		SpanSiblingBorrow, SpanPoolExpand, SpanPoolShrink, SpanSafeMode:
+		SpanSiblingBorrow, SpanPoolExpand, SpanSafeMode:
 		return "daemon"
 	case SpanNodeCrash, SpanNodeReboot:
 		return "fault"

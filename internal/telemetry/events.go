@@ -13,13 +13,12 @@ type EventType uint8
 
 // The decision events the Holmes daemon emits. They cover every state
 // transition of Algorithms 1-3: batch discovery, sibling lending and
-// eviction, pool expansion and contraction, LC service lifecycle, and the
+// eviction, pool expansion, LC service lifecycle, and the
 // (decimated) monitor samples that carry the raw VPI/usage signal.
 const (
 	SiblingGranted EventType = iota
 	SiblingRevoked
 	PoolExpanded
-	PoolShrunk
 	LCRegistered
 	LCExited
 	BatchDiscovered
@@ -40,8 +39,6 @@ func (t EventType) String() string {
 		return "SiblingRevoked"
 	case PoolExpanded:
 		return "PoolExpanded"
-	case PoolShrunk:
-		return "PoolShrunk"
 	case LCRegistered:
 		return "LCRegistered"
 	case LCExited:

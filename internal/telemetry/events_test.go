@@ -82,8 +82,8 @@ func TestCallbackSinkAndFanout(t *testing.T) {
 	var seen []EventType
 	tr.AddSink(CallbackSink(func(ev Event) { seen = append(seen, ev.Type) }))
 	tr.Emit(Event{Type: PoolExpanded})
-	tr.Emit(Event{Type: PoolShrunk})
-	if len(seen) != 2 || seen[0] != PoolExpanded || seen[1] != PoolShrunk {
+	tr.Emit(Event{Type: LCExited})
+	if len(seen) != 2 || seen[0] != PoolExpanded || seen[1] != LCExited {
 		t.Fatalf("callback saw %v", seen)
 	}
 	// The built-in ring received the same events.
@@ -97,7 +97,6 @@ func TestEventTypeNames(t *testing.T) {
 		SiblingGranted:  "SiblingGranted",
 		SiblingRevoked:  "SiblingRevoked",
 		PoolExpanded:    "PoolExpanded",
-		PoolShrunk:      "PoolShrunk",
 		LCRegistered:    "LCRegistered",
 		LCExited:        "LCExited",
 		BatchDiscovered: "BatchDiscovered",

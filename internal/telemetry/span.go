@@ -35,7 +35,6 @@ const (
 	SpanCgroupWrite
 	SpanSiblingBorrow
 	SpanPoolExpand
-	SpanPoolShrink
 	SpanSafeMode
 
 	// Autoscaler replica lifecycle (control-plane recorder).
@@ -89,8 +88,6 @@ func (k SpanKind) String() string {
 		return "SiblingBorrow"
 	case SpanPoolExpand:
 		return "PoolExpand"
-	case SpanPoolShrink:
-		return "PoolShrink"
 	case SpanReplicaScaleUp:
 		return "ReplicaScaleUp"
 	case SpanReplicaScaleDown:
