@@ -82,7 +82,7 @@ bench-test:
 # trace (Perfetto / chrome://tracing) and a readable post-mortem bundle.
 obs-smoke:
 	$(GO) test -run 'TestGoldenEvictionSpanChain|TestObsChromeTraceValid|TestObsDeterministicAcrossWorkers' ./internal/cluster/
-	$(GO) test -run 'TestChromeTrace|TestWriteSpansJSONL' ./internal/telemetry/
+	$(GO) test -run 'ChromeTrace|TestWriteSpansJSONL' ./internal/telemetry/
 	mkdir -p obs-out
 	$(GO) run ./cmd/holmes-cluster -nodes 3 -cores 4 -services 2 \
 		-warmup 0.2 -duration 1.0 -batch-pods 6 -chaos -dashboard \

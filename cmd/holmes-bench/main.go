@@ -43,7 +43,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", runner.DefaultParallelism(),
 		"max concurrent simulation runs (1 = serial; output identical either way)")
 	outDir := fs.String("o", "", "also write each experiment's output to <dir>/<id>.txt")
-	telemetryOut := fs.String("telemetry-out", "", "stream scheduler decision events to this JSONL file")
 	traceOut := fs.String("trace-out", "", "write recorded daemon spans to this file (.jsonl = one span per line, otherwise Chrome trace-event JSON)")
 	fs.Usage = func() { usage(stderr) }
 	if err := fs.Parse(args); err != nil {
@@ -79,22 +78,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	opts := experiments.Options{Full: *full, Seed: *seed, Parallel: *parallel}
 	var set *telemetry.Set
-	if *telemetryOut != "" || *traceOut != "" {
-		set = telemetry.NewSet()
-		opts.Telemetry = set
-	}
-	var jsonl *telemetry.JSONLSink
-	if *telemetryOut != "" {
-		f, err := os.Create(*telemetryOut)
+	var traceFile *os.File
+	if *traceOut != "" {
+		// Created up front so a bad path fails before any simulation runs.
+		f, err := os.Create(*traceOut)
 		if err != nil {
 			return fail("%v", err)
 		}
-		defer func() {
-			f.Close()
-			fmt.Fprintf(stderr, "telemetry: %d events -> %s\n", jsonl.Count(), *telemetryOut)
-		}()
-		jsonl = telemetry.NewJSONLSink(f)
-		set.Tracer.AddSink(jsonl)
+		defer f.Close()
+		traceFile = f
+		set = telemetry.NewSet()
+		opts.Telemetry = set
 	}
 	reg := experiments.Registry()
 
@@ -154,9 +148,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			code = 1
 		}
 	}
-	if *traceOut != "" {
+	if traceFile != nil {
 		spans := set.Spans.Snapshot()
-		if err := writeSpans(*traceOut, spans); err != nil {
+		if err := writeSpans(traceFile, spans); err != nil {
 			return fail("%v", err)
 		}
 		fmt.Fprintf(stderr, "trace: %d spans -> %s\n", len(spans), *traceOut)
@@ -176,18 +170,12 @@ var runResults = experiments.RunResults
 
 // writeSpans exports spans by extension: .jsonl as one span per line,
 // anything else as Chrome trace-event JSON (loadable in Perfetto).
-func writeSpans(path string, spans []telemetry.Span) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+func writeSpans(f *os.File, spans []telemetry.Span) error {
+	write := telemetry.WriteChromeTrace
+	if strings.HasSuffix(f.Name(), ".jsonl") {
+		write = telemetry.WriteSpansJSONL
 	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = telemetry.WriteSpansJSONL(f, spans)
-	} else {
-		err = telemetry.WriteChromeTrace(f, spans)
-	}
-	if err != nil {
-		f.Close()
+	if err := write(f, spans); err != nil {
 		return err
 	}
 	return f.Close()
@@ -214,9 +202,10 @@ Flags:
                        every run's seed derives from (seed, run key), so
                        output is byte-identical at any parallelism
   -o DIR               also write each experiment's output to DIR/<id>.txt
-  -telemetry-out FILE  stream scheduler decision events (JSONL) to FILE
-  -trace-out FILE      write recorded daemon spans to FILE (.jsonl = one
-                       span per line, otherwise Chrome trace-event JSON
-                       loadable in Perfetto / chrome://tracing)
+  -trace-out FILE      record the daemons' decision spans and write them
+                       to FILE (.jsonl = one span per line, otherwise
+                       Chrome trace-event JSON loadable in Perfetto /
+                       chrome://tracing); recording charges its modeled
+                       cost to each daemon, so CPU figures move slightly
 `)
 }

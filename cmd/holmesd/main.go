@@ -11,12 +11,11 @@
 //	        [-http 127.0.0.1:9140]
 //
 // With -http, the daemon's telemetry is served live while the scenario
-// runs: /metrics (Prometheus text), /events (JSON decision log),
-// /spans (JSON causal spans; ?format=chrome for a Chrome trace-event
-// export), /timeline (the span log as an indented causal text tree),
-// /alerts (JSON burn-rate alert transitions) and /debug/holmes (JSON
-// bundle), plus the Go runtime profiles under /debug/pprof/ for profiling
-// the simulator itself. The server keeps running after the run so the
+// runs: /metrics (Prometheus text), /spans (the JSON decision log as
+// causal spans; ?n= keeps the newest n, ?format=chrome exports Chrome
+// trace-event JSON), /timeline (the span log as an indented causal text
+// tree) and /debug/holmes (JSON bundle), plus the Go runtime profiles
+// under /debug/pprof/ for profiling the simulator itself. The server keeps running after the run so the
 // final state can be inspected; interrupt to exit.
 package main
 
@@ -43,7 +42,7 @@ func main() {
 	interval := flag.Duration("interval", 100*time.Microsecond, "monitor/scheduler interval")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	perfiso := flag.Bool("perfiso", false, "run the PerfIso baseline instead of Holmes")
-	httpAddr := flag.String("http", "", "serve /metrics, /events and /debug/holmes on this address")
+	httpAddr := flag.String("http", "", "serve /metrics, /spans and /debug/holmes on this address")
 	flag.Parse()
 
 	setting := experiments.Holmes
@@ -72,7 +71,7 @@ func main() {
 			os.Exit(1)
 		}
 		go func() { _ = http.Serve(ln, handler(set)) }()
-		fmt.Printf("telemetry: http://%s/metrics /events /spans /timeline /alerts /debug/holmes /debug/pprof/\n", ln.Addr())
+		fmt.Printf("telemetry: http://%s/metrics /spans /timeline /debug/holmes /debug/pprof/\n", ln.Addr())
 	}
 
 	fmt.Printf("holmesd: %s + %s workload-%s for %v of simulated time (seed %d)\n",
@@ -100,8 +99,8 @@ func main() {
 		fmt.Print(res.VPISeries.Downsample(20).TSV())
 	}
 	if set != nil {
-		fmt.Printf("\ntelemetry: %d decision events recorded; serving until interrupted\n",
-			set.Tracer.Ring().Total())
+		fmt.Printf("\ntelemetry: %d decision spans recorded; serving until interrupted\n",
+			set.Spans.Total())
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt)
 		<-sig

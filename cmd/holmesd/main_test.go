@@ -14,7 +14,7 @@ import (
 )
 
 // TestLiveEndpointsDuringRun is the acceptance check for the live export:
-// the telemetry handler must serve /metrics and /events over real HTTP
+// the telemetry handler must serve /metrics and /spans over real HTTP
 // while a colocation scenario is driving records into the set.
 func TestLiveEndpointsDuringRun(t *testing.T) {
 	set := telemetry.NewSet()
@@ -55,48 +55,12 @@ func TestLiveEndpointsDuringRun(t *testing.T) {
 		t.Fatalf("colocation run: %v", err)
 	}
 
-	// After the run: the decision log must decode and contain the batch
-	// discoveries plus at least one sibling decision.
-	var events struct {
-		Total  uint64 `json:"total"`
-		Events []struct {
-			Type   string  `json:"type"`
-			TimeNs int64   `json:"time_ns"`
-			CPU    int     `json:"cpu"`
-			VPI    float64 `json:"vpi"`
-		} `json:"events"`
-	}
-	if err := json.Unmarshal([]byte(httpGet(t, srv.URL+"/events")), &events); err != nil {
-		t.Fatalf("/events did not decode: %v", err)
-	}
-	if events.Total == 0 || len(events.Events) == 0 {
-		t.Fatal("no decision events recorded")
-	}
-	types := map[string]int{}
-	for _, ev := range events.Events {
-		types[ev.Type]++
-	}
-	if types["BatchDiscovered"] == 0 {
-		t.Fatalf("no BatchDiscovered events; saw %v", types)
-	}
-	if types["SiblingRevoked"]+types["SiblingGranted"] == 0 {
-		t.Fatalf("no sibling decisions; saw %v", types)
-	}
-
-	// Type filter works.
-	if err := json.Unmarshal([]byte(httpGet(t, srv.URL+"/events?type=BatchDiscovered")), &events); err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range events.Events {
-		if ev.Type != "BatchDiscovered" {
-			t.Fatalf("filter leaked %q", ev.Type)
-		}
-	}
-
-	// /debug/holmes bundles info + metrics.
+	// /debug/holmes bundles info, metrics and the span totals.
 	var debug struct {
-		Info    map[string]string            `json:"info"`
-		Metrics []map[string]json.RawMessage `json:"metrics"`
+		Info       map[string]string            `json:"info"`
+		Metrics    []map[string]json.RawMessage `json:"metrics"`
+		SpanTotal  uint64                       `json:"span_total"`
+		SpanCounts map[string]int               `json:"recent_span_counts"`
 	}
 	if err := json.Unmarshal([]byte(httpGet(t, srv.URL+"/debug/holmes")), &debug); err != nil {
 		t.Fatalf("/debug/holmes did not decode: %v", err)
@@ -106,6 +70,10 @@ func TestLiveEndpointsDuringRun(t *testing.T) {
 	}
 	if len(debug.Metrics) == 0 {
 		t.Fatal("debug bundle has no metrics")
+	}
+	if debug.SpanTotal == 0 || debug.SpanCounts["MaskDecision"] == 0 {
+		t.Fatalf("debug bundle span totals empty: total %d, counts %v",
+			debug.SpanTotal, debug.SpanCounts)
 	}
 
 	// The kernel and cgroupfs instrumentation reported through the same
@@ -117,30 +85,54 @@ func TestLiveEndpointsDuringRun(t *testing.T) {
 		t.Error("kernel metrics missing from /metrics")
 	}
 
-	// /spans serves the daemon's causal decision chains as JSON, and as a
-	// schema-valid Chrome trace with ?format=chrome.
-	var spans struct {
+	// /spans serves the daemon's decision log as causal chains in JSON,
+	// and as a schema-valid Chrome trace with ?format=chrome.
+	type spanLog struct {
 		Total   uint64 `json:"total"`
 		Dropped uint64 `json:"dropped"`
 		Spans   []struct {
+			ID   uint64 `json:"id"`
 			Kind string `json:"kind"`
 		} `json:"spans"`
 	}
+	var spans spanLog
 	if err := json.Unmarshal([]byte(httpGet(t, srv.URL+"/spans")), &spans); err != nil {
 		t.Fatalf("/spans did not decode: %v", err)
 	}
 	if spans.Total == 0 || len(spans.Spans) == 0 {
 		t.Fatal("no spans recorded by the daemon")
 	}
-	kinds := map[string]bool{}
+	kinds := map[string]int{}
 	for _, sp := range spans.Spans {
-		kinds[sp.Kind] = true
+		kinds[sp.Kind]++
 	}
-	for _, want := range []string{"CounterSample", "VPIEstimate", "MaskDecision"} {
-		if !kinds[want] {
+	for _, want := range []string{"SiblingBorrow", "CounterSample", "VPIEstimate", "MaskDecision"} {
+		if kinds[want] == 0 {
 			t.Errorf("no %s spans in /spans; saw %v", want, kinds)
 		}
 	}
+
+	// ?n= keeps only the newest n spans; ?kind= filters before it.
+	var newest spanLog
+	if err := json.Unmarshal([]byte(httpGet(t, srv.URL+"/spans?n=3")), &newest); err != nil {
+		t.Fatal(err)
+	}
+	if len(newest.Spans) != 3 || newest.Spans[2].ID != spans.Spans[len(spans.Spans)-1].ID {
+		t.Fatalf("/spans?n=3 = %+v, want the newest 3 of %d", newest.Spans, len(spans.Spans))
+	}
+	var decisions spanLog
+	if err := json.Unmarshal([]byte(httpGet(t, srv.URL+"/spans?kind=MaskDecision&n=2")), &decisions); err != nil {
+		t.Fatal(err)
+	}
+	if want := min(2, kinds["MaskDecision"]); len(decisions.Spans) != want {
+		t.Fatalf("/spans?kind=MaskDecision&n=2 kept %d spans, want %d", len(decisions.Spans), want)
+	}
+	for _, sp := range decisions.Spans {
+		if sp.Kind != "MaskDecision" {
+			t.Fatalf("kind filter leaked %q", sp.Kind)
+		}
+	}
+
 	chrome := httpGet(t, srv.URL+"/spans?format=chrome")
 	if err := telemetry.ValidateChromeTrace([]byte(chrome)); err != nil {
 		t.Fatalf("/spans?format=chrome fails schema check: %v", err)
@@ -150,19 +142,6 @@ func TestLiveEndpointsDuringRun(t *testing.T) {
 	timeline := httpGet(t, srv.URL+"/timeline")
 	if !strings.Contains(timeline, "CounterSample") {
 		t.Fatalf("/timeline has no decision chain:\n%.400s", timeline)
-	}
-
-	// /alerts decodes even with no burn engine attached (empty log).
-	var alerts struct {
-		Firing int     `json:"firing"`
-		Alerts []Alert `json:"alerts"`
-	}
-	if err := json.Unmarshal([]byte(httpGet(t, srv.URL+"/alerts")), &alerts); err != nil {
-		t.Fatalf("/alerts did not decode: %v", err)
-	}
-	if len(alerts.Alerts) != 0 {
-		t.Fatalf("single-daemon run has no burn engine, yet /alerts has %d entries",
-			len(alerts.Alerts))
 	}
 }
 
@@ -179,9 +158,6 @@ func TestPprofBesideTelemetry(t *testing.T) {
 		t.Fatalf("/metrics content-type = %q behind the pprof mux", ct)
 	}
 }
-
-// Alert mirrors telemetry.Alert for decoding /alerts.
-type Alert = telemetry.Alert
 
 func httpGet(t *testing.T, url string) string {
 	t.Helper()

@@ -24,6 +24,28 @@ func TestScoringBackfillsLendableSiblings(t *testing.T) {
 	}
 }
 
+// TestScoringLendableWeight pins scoreBLendable from both sides with
+// batch-only occupancy (no service-thread term). One lendable sibling on
+// a half-full node must beat a quarter-full node with none (15 - 8 = 7 <
+// 7.5, lost at half the weight), yet lose to an eighth-full node (7 >
+// 3.75, won at double the weight).
+func TestScoringLendableWeight(t *testing.T) {
+	for _, tc := range []struct {
+		otherBatch int
+		want       int
+		why        string
+	}{
+		{4, 0, "one lendable sibling outweighs a quarter of occupancy"},
+		{2, 1, "one lendable sibling does not outweigh three eighths of occupancy"},
+	} {
+		sts := mkStates([2]int{0, 8}, [2]int{0, tc.otherBatch})
+		sts[0].HB.Lendable = 1
+		if got := placeChecked(t, ScoringPlacer{}, sts, PodRequest{Threads: 4}); got != tc.want {
+			t.Fatalf("besteffort pod placed on node %d, want %d: %s", got, tc.want, tc.why)
+		}
+	}
+}
+
 func TestScoringAvoidsHotAndSuspectUnlessOnlyFit(t *testing.T) {
 	sts := mkStates([2]int{0, 0}, [2]int{8, 0})
 	sts[0].Hot = 2

@@ -92,10 +92,11 @@ type Config struct {
 	// were lost and dropping tracked containers whose groups vanished —
 	// the reconciliation pass for a lossy watch path. 0 disables it.
 	RescanIntervalNs int64
-	// Telemetry, when non-nil, receives the daemon's metrics and decision
-	// events. The record path is allocation-free; when DaemonCPU enables
-	// overhead modeling, the cycles spent recording are charged to the
-	// daemon process and reported separately (Daemon.TelemetryCPUTimeNs).
+	// Telemetry, when non-nil, receives the daemon's metrics and, through
+	// Telemetry.Spans, its decision spans — the daemon's one decision log.
+	// The record path is allocation-free; when DaemonCPU enables overhead
+	// modeling, the cycles spent recording are charged to the daemon
+	// process and reported separately (Daemon.TelemetryCPUTimeNs).
 	Telemetry *telemetry.Set
 	// Spans, when non-nil, receives the daemon's causal decision-chain
 	// spans (counter sample → VPI estimate → mask decision → cgroupfs

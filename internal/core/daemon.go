@@ -127,7 +127,7 @@ func Start(k *kernel.Kernel, fs *cgroupfs.FS, cfg Config) (*Daemon, error) {
 	}
 
 	// Telemetry handles resolve before the cgroup watch is installed so
-	// discovery events from adoption are traced too.
+	// discoveries at adoption are counted too.
 	d.tel.resolve(cfg.Telemetry)
 	d.tel.resolveSpans(cfg.Spans, cfg.Telemetry, cfg.SpanNode)
 	if d.tel.enabled() {
@@ -162,11 +162,10 @@ func Start(k *kernel.Kernel, fs *cgroupfs.FS, cfg Config) (*Daemon, error) {
 	}
 	d.adoptExistingContainers()
 
-	// Trace the initial sibling state after adoption so a decision log
+	// Trace the initial sibling state after adoption so the span log
 	// always opens with the granted baseline the later revocations refer
 	// back to.
 	for i := 0; i < cfg.ReservedCPUs; i++ {
-		d.emit(telemetry.Event{Type: telemetry.SiblingGranted, CPU: i, Threshold: cfg.E})
 		d.borrowSpan[i] = d.tel.spanStart(telemetry.Span{
 			Kind: telemetry.SpanSiblingBorrow, StartNs: m.Now(), CPU: i})
 	}
@@ -227,7 +226,6 @@ func (d *Daemon) RegisterLC(pid int) error {
 		return fmt.Errorf("core: no such process %d", pid)
 	}
 	d.lcPids[pid] = p
-	d.emit(telemetry.Event{Type: telemetry.LCRegistered, CPU: -1, PID: pid})
 	d.tel.gauge(d.tel.lcServices, float64(len(d.lcPids)))
 	return p.SetAffinity(d.reserved)
 }
@@ -268,7 +266,6 @@ func (d *Daemon) onCgroupEvent(ev cgroupfs.Event) {
 			}
 			d.containers[ev.Path] = proc
 			d.tel.inc(d.tel.batchFound)
-			d.emit(telemetry.Event{Type: telemetry.BatchDiscovered, CPU: -1, PID: pid, Detail: ev.Path})
 			d.tel.gauge(d.tel.containers, float64(len(d.containers)))
 			// Launching allocation: non-reserved CPUs, with LC siblings
 			// only as currently permitted. The kernel's placement
@@ -303,7 +300,6 @@ func (d *Daemon) adoptExistingContainers() {
 			}
 			d.containers[g.Path()] = proc
 			d.tel.inc(d.tel.batchFound)
-			d.emit(telemetry.Event{Type: telemetry.BatchDiscovered, CPU: -1, PID: pid, Detail: g.Path()})
 			_ = proc.SetAffinity(d.BatchMask())
 		}
 	})
@@ -334,16 +330,12 @@ func (d *Daemon) tick(nowNs int64) {
 	}
 
 	changed := false
-	sampleTick := d.tel.enabled() && d.invocations%monitorSampleEvery == 0
 
 	// Algorithm 2, lines 1-16: per-LC-CPU sibling control by the
 	// interference signal (VPI for Holmes; raw usage for the ablation).
 	for lc := d.reserved.Next(0); lc >= 0; lc = d.reserved.Next(lc + 1) {
 		vpi, usage := d.mon.VPI(lc), d.mon.Usage(lc)
 		d.tel.observe(d.tel.lcVPI, vpi)
-		if sampleTick {
-			d.emit(telemetry.Event{Type: telemetry.MonitorSample, CPU: lc, VPI: vpi, Usage: usage})
-		}
 		interfered := false
 		threshold := d.cfg.E
 		if d.cfg.TriggerMetric == MetricUsage {
@@ -359,8 +351,6 @@ func (d *Daemon) tick(nowNs int64) {
 				d.deallocations++
 				d.lastDeallocNs = nowNs
 				d.tel.inc(d.tel.deallocations)
-				d.emit(telemetry.Event{Type: telemetry.SiblingRevoked,
-					CPU: lc, VPI: vpi, Usage: usage, Threshold: threshold})
 				d.traceDecision(nowNs, lc, vpi, usage, threshold, "revoke-sibling")
 				if id, ok := d.borrowSpan[lc]; ok {
 					d.tel.spanFinish(id, nowNs)
@@ -377,8 +367,6 @@ func (d *Daemon) tick(nowNs int64) {
 			d.siblingAllowed[lc] = true
 			d.reallocations++
 			d.tel.inc(d.tel.reallocations)
-			d.emit(telemetry.Event{Type: telemetry.SiblingGranted,
-				CPU: lc, VPI: vpi, Usage: usage, Threshold: threshold})
 			d.traceDecision(nowNs, lc, vpi, usage, threshold, "grant-sibling")
 			d.borrowSpan[lc] = d.tel.spanStart(telemetry.Span{
 				Kind: telemetry.SpanSiblingBorrow, StartNs: nowNs,
@@ -432,23 +420,10 @@ func (d *Daemon) chargeOverhead() {
 // reapExitedLC implements the LC half of Algorithm 3: when a registered
 // service exits, its siblings return to batch jobs.
 func (d *Daemon) reapExitedLC() {
-	// The common tick has nothing to reap: check without building the
-	// sorted pid list, which only fixes the order of the exit events.
-	exited := false
-	for _, p := range d.lcPids {
-		if p.Exited() {
-			exited = true
-			break
-		}
-	}
-	if !exited {
-		return
-	}
 	changed := false
-	for _, pid := range d.sortedLCPids() {
-		if p := d.lcPids[pid]; p.Exited() {
+	for pid, p := range d.lcPids {
+		if p.Exited() {
 			delete(d.lcPids, pid)
-			d.emit(telemetry.Event{Type: telemetry.LCExited, CPU: -1, PID: pid})
 			changed = true
 		}
 	}
@@ -461,7 +436,6 @@ func (d *Daemon) reapExitedLC() {
 				d.siblingAllowed[lc] = true
 				d.reallocations++
 				d.tel.inc(d.tel.reallocations)
-				d.emit(telemetry.Event{Type: telemetry.SiblingGranted, CPU: lc, Threshold: d.cfg.E})
 				d.borrowSpan[lc] = d.tel.spanStart(telemetry.Span{
 					Kind: telemetry.SpanSiblingBorrow, StartNs: d.m.Now(), CPU: lc})
 			}
@@ -525,8 +499,6 @@ func (d *Daemon) expandIfNeeded(nowNs int64) bool {
 	d.quietSince[best] = -1
 	d.expansions++
 	d.tel.inc(d.tel.expansions)
-	d.emit(telemetry.Event{Type: telemetry.PoolExpanded,
-		CPU: best, Usage: usage / float64(len(cpus)), Threshold: thresholdT})
 	d.lastDecisionSpan = d.tel.span(telemetry.Span{Kind: telemetry.SpanPoolExpand,
 		StartNs: nowNs, EndNs: nowNs, CPU: best,
 		Value: usage / float64(len(cpus))})
@@ -656,9 +628,6 @@ func (d *Daemon) enterSafeMode(nowNs int64, frac float64) {
 			delete(d.borrowSpan, lc)
 		}
 	}
-	d.emit(telemetry.Event{Type: telemetry.SafeModeEntered, CPU: -1,
-		Threshold: watchdogSuspectFraction,
-		Detail:    fmt.Sprintf("suspect fraction %.2f", frac)})
 	d.applyBatchMask()
 	d.updatePoolGauges()
 }
@@ -676,7 +645,6 @@ func (d *Daemon) exitSafeMode(nowNs int64) {
 	for _, lc := range d.reserved.CPUs() {
 		d.quietSince[lc] = nowNs
 	}
-	d.emit(telemetry.Event{Type: telemetry.SafeModeExited, CPU: -1})
 }
 
 // SafeMode reports whether the daemon is currently in the conservative
@@ -713,7 +681,6 @@ func (d *Daemon) rescanCgroups() {
 				d.rescanRepairs++
 				d.tel.inc(d.tel.batchFound)
 				d.tel.inc(d.tel.rescanRepairsC)
-				d.emit(telemetry.Event{Type: telemetry.RescanRepaired, CPU: -1, PID: pid, Detail: path})
 				_ = proc.SetAffinity(d.BatchMask())
 				break
 			}
@@ -726,7 +693,6 @@ func (d *Daemon) rescanCgroups() {
 		delete(d.containers, path)
 		d.rescanRepairs++
 		d.tel.inc(d.tel.rescanRepairsC)
-		d.emit(telemetry.Event{Type: telemetry.RescanRepaired, CPU: -1, Detail: path})
 	}
 	d.tel.gauge(d.tel.containers, float64(len(d.containers)))
 }

@@ -4,35 +4,23 @@ import (
 	"github.com/holmes-colocation/holmes/internal/telemetry"
 )
 
-// Modeled cost of the telemetry record path, in core cycles. The measured
-// BenchmarkTelemetryRecord path (counter + gauge + histogram + event) runs
-// in ~80 ns on commodity hardware; at 2 GHz a single atomic record op is
-// on the order of a dozen cycles and a traced event — ring slot store plus
-// sink fan-out — costs roughly ten times that. These cycles are pushed
-// onto the daemon process each tick so §6.6's overhead split is visible in
+// Modeled cost of the telemetry record path, in core cycles. At 2 GHz a
+// single atomic record op (counter, gauge or histogram) is on the order of
+// a dozen cycles; a span op is a ring slot store plus an ID assignment
+// under a mutex, a few times pricier. These cycles are pushed onto the
+// daemon process each tick so §6.6's overhead split is visible in
 // simulated CPU time, not just wall-clock intuition.
 const (
 	telemetryCyclesPerRecord = 12
-	telemetryCyclesPerEvent  = 150
-	// A span op is a ring slot store plus an ID assignment under a mutex —
-	// cheaper than a traced event's sink fan-out, pricier than an atomic
-	// counter bump.
-	telemetryCyclesPerSpan = 60
+	telemetryCyclesPerSpan   = 60
 )
-
-// monitorSampleEvery decimates MonitorSample events: one per reserved CPU
-// every this many daemon invocations. At the paper's 100 µs interval that
-// is one sample batch every ~12.8 ms — dense enough to chart VPI, sparse
-// enough that decision events (the signal) are not drowned in the ring.
-const monitorSampleEvery = 128
 
 // daemonTelemetry carries the daemon's pre-resolved metric handles plus
 // the per-tick op counts used to charge recording cost to the daemon
 // process. When telemetry is disabled every handle is nil and every
 // record method no-ops, so call sites stay unconditional.
 type daemonTelemetry struct {
-	set    *telemetry.Set
-	tracer *telemetry.Tracer
+	set *telemetry.Set
 	// rec receives causal decision-chain spans; node is stamped on each.
 	// Span cost accounting is keyed off set, not rec, so attaching or
 	// detaching a recorder never perturbs the simulation (the determinism
@@ -58,7 +46,6 @@ type daemonTelemetry struct {
 
 	// Cost accounting for the current tick, drained by drainCycles.
 	recordOps int64
-	events    int64
 	spanOps   int64
 }
 
@@ -69,7 +56,6 @@ func (dt *daemonTelemetry) resolve(set *telemetry.Set) {
 		return
 	}
 	dt.set = set
-	dt.tracer = set.Tracer
 	r := set.Registry
 	dt.invocations = r.Counter("holmes_invocations_total", "monitor+scheduler invocations")
 	dt.deallocations = r.Counter("holmes_deallocations_total", "sibling evictions (VPI >= E)")
@@ -170,30 +156,13 @@ func (dt *daemonTelemetry) observe(h *telemetry.Histogram, v float64) {
 // drainCycles returns the modeled cycle cost of everything recorded since
 // the previous drain and resets the tick counters.
 func (dt *daemonTelemetry) drainCycles() float64 {
-	if dt.set == nil || (dt.recordOps == 0 && dt.events == 0 && dt.spanOps == 0) {
+	if dt.set == nil || (dt.recordOps == 0 && dt.spanOps == 0) {
 		return 0
 	}
 	c := float64(dt.recordOps)*telemetryCyclesPerRecord +
-		float64(dt.events)*telemetryCyclesPerEvent +
 		float64(dt.spanOps)*telemetryCyclesPerSpan
-	dt.recordOps, dt.events, dt.spanOps = 0, 0, 0
+	dt.recordOps, dt.spanOps = 0, 0
 	return c
-}
-
-// emit stamps and publishes a decision event. ev.TimeNs and ev.Core are
-// filled here so call sites only state what happened.
-func (d *Daemon) emit(ev telemetry.Event) {
-	if d.tel.tracer == nil {
-		return
-	}
-	ev.TimeNs = d.m.Now()
-	if ev.CPU >= 0 {
-		ev.Core = d.m.Topology().CoreOf(ev.CPU)
-	} else {
-		ev.Core = -1
-	}
-	d.tel.tracer.Emit(ev)
-	d.tel.events++
 }
 
 // updatePoolGauges refreshes the cheap state gauges after any transition.

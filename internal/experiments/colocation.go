@@ -77,8 +77,9 @@ type ColocationConfig struct {
 	// VPISampleNs > 0 records the average VPI across the LC CPUs into
 	// VPISeries at this period (Fig. 13).
 	VPISampleNs int64
-	// Telemetry, when non-nil, receives metrics and decision events from
-	// the daemon, the kernel and the cgroup filesystem for the whole run.
+	// Telemetry, when non-nil, receives metrics from the daemon, the
+	// kernel and the cgroup filesystem, plus the daemon's decision spans,
+	// for the whole run.
 	Telemetry *telemetry.Set
 }
 

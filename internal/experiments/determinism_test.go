@@ -126,8 +126,8 @@ func TestSuiteKeyNoCollision(t *testing.T) {
 
 // TestConcurrentRunsSharedTelemetry runs two simulations concurrently
 // against one telemetry.Set — the holmes-bench shape when -parallel > 1
-// and -telemetry-out are combined. Run under -race this proves the
-// registry/tracer attachment path is safe for concurrent runs.
+// and -trace-out are combined. Run under -race this proves the
+// registry/span-recorder attachment path is safe for concurrent runs.
 func TestConcurrentRunsSharedTelemetry(t *testing.T) {
 	set := telemetry.NewSet()
 	var wg sync.WaitGroup
@@ -146,8 +146,8 @@ func TestConcurrentRunsSharedTelemetry(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if set.Tracer.Ring().Total() == 0 {
-		t.Fatal("no decision events recorded from concurrent runs")
+	if set.Spans.Total() == 0 {
+		t.Fatal("no decision spans recorded from concurrent runs")
 	}
 	if len(set.Registry.Gather()) == 0 {
 		t.Fatal("no metrics gathered from concurrent runs")

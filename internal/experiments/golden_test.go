@@ -61,12 +61,12 @@ func colocationGoldenText(r *ColocationResult, set *telemetry.Set) (string, erro
 			return "", err
 		}
 		fmt.Fprintf(&b, "telemetry metrics sha256: %s\n", digest(prom.Bytes()))
-		var events strings.Builder
-		for _, ev := range set.Tracer.Ring().Snapshot() {
-			fmt.Fprintf(&events, "%+v\n", ev)
+		var spans strings.Builder
+		for _, sp := range set.Spans.Snapshot() {
+			fmt.Fprintf(&spans, "%+v\n", sp)
 		}
-		fmt.Fprintf(&b, "telemetry events: %d total, sha256 %s\n",
-			set.Tracer.Ring().Total(), digest([]byte(events.String())))
+		fmt.Fprintf(&b, "telemetry spans: %d total, sha256 %s\n",
+			set.Spans.Total(), digest([]byte(spans.String())))
 		info := set.Info()
 		keys := make([]string, 0, len(info))
 		for k := range info {

@@ -13,7 +13,7 @@ type OverheadResult struct {
 	// telemetry recording included.
 	DaemonCPUFrac float64
 	// TelemetryCPUFrac is the share of DaemonCPUFrac modeled as telemetry
-	// recording (metrics + decision events); BaseCPUFrac is the rest —
+	// recording (metrics + decision spans); BaseCPUFrac is the rest —
 	// the monitor/scheduler work proper.
 	TelemetryCPUFrac float64
 	BaseCPUFrac      float64
@@ -31,7 +31,7 @@ func RunOverhead(durationNs int64, seed uint64) (OverheadResult, error) {
 }
 
 // RunOverheadWith is RunOverhead recording into the caller's telemetry
-// set (holmes-bench's -telemetry-out); a nil set gets a private one.
+// set (holmes-bench's -trace-out); a nil set gets a private one.
 func RunOverheadWith(durationNs int64, seed uint64, set *telemetry.Set) (OverheadResult, error) {
 	if set == nil {
 		set = telemetry.NewSet()

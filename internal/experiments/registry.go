@@ -22,7 +22,9 @@ type Options struct {
 	// run's seed derives from (Seed, run key), never from scheduling.
 	Parallel int
 	// Telemetry, when non-nil, is attached to every suite co-location run
-	// so holmes-bench can dump metrics and decision events afterwards.
+	// so holmes-bench can export its decision spans afterwards. Recording
+	// charges its modeled cost to each daemon, so CPU figures differ
+	// slightly from a run without a set.
 	Telemetry *telemetry.Set
 }
 

@@ -39,7 +39,7 @@ func TestOverheadTelemetrySplit(t *testing.T) {
 }
 
 // TestColocationTelemetryWiring checks that a run with a set attached
-// populates daemon, kernel, and cgroupfs metrics plus decision events.
+// populates daemon, kernel, and cgroupfs metrics plus decision spans.
 func TestColocationTelemetryWiring(t *testing.T) {
 	set := telemetry.NewSet()
 	cfg := DefaultColocation("redis", "a", Holmes)
@@ -67,7 +67,7 @@ func TestColocationTelemetryWiring(t *testing.T) {
 			t.Fatalf("metric %s missing; have %v", want, names)
 		}
 	}
-	if set.Tracer.Ring().Total() == 0 {
-		t.Fatal("no decision events recorded")
+	if set.Spans.Total() == 0 {
+		t.Fatal("no decision spans recorded")
 	}
 }

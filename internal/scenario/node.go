@@ -47,8 +47,8 @@ type NodeService struct {
 
 // Boot builds a node from spec and starts its clients. Spec.Seed seeds
 // the machine as given, 0 included. tel, when non-nil, receives metrics
-// and decision events from the kernel, the cgroup filesystem and the
-// Holmes daemon; holmes, when non-nil, replaces the daemon configuration
+// from the kernel, the cgroup filesystem and the Holmes daemon, plus the
+// daemon's decision spans; holmes, when non-nil, replaces the daemon configuration
 // derived from Spec.Holmes (the daemon CPU is still the machine's last).
 //
 // The construction order is part of the contract, since every component

@@ -3,79 +3,28 @@ package telemetry
 import (
 	"encoding/json"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 )
 
-// Set bundles the registry, tracer and span recorder one daemon (or one
+// Set bundles the registry and span recorder one daemon (or one
 // experiment run) records into, plus a small info map for static facts
 // (configuration, topology) worth showing on the debug endpoint.
 type Set struct {
 	Registry *Registry
-	Tracer   *Tracer
 	Spans    *SpanRecorder
 
-	mu     sync.Mutex
-	info   map[string]string
-	alerts []Alert
+	mu   sync.Mutex
+	info map[string]string
 }
 
-// DefaultRingSize is the decision-event retention of a NewSet tracer.
-// At the daemon's 100 µs interval the steady state emits a handful of
-// events per millisecond at most, so 4096 covers the recent past without
-// meaningful memory cost.
-const DefaultRingSize = 4096
-
-// NewSet creates a registry plus a tracer and span recorder with the
-// default rings.
+// NewSet creates a registry plus a span recorder with the default ring.
 func NewSet() *Set {
 	return &Set{
 		Registry: NewRegistry(),
-		Tracer:   NewTracer(DefaultRingSize),
 		Spans:    NewSpanRecorder(DefaultSpanRingSize),
 		info:     map[string]string{},
 	}
-}
-
-// Alert is one burn-rate alert transition published to the set: a
-// page- or ticket-severity SLO alert activating or resolving. The
-// telemetry package only stores and serves these; the burn-rate engine
-// that computes them lives in internal/obs.
-type Alert struct {
-	TimeNs   int64   `json:"time_ns"`
-	Name     string  `json:"name"`
-	Severity string  `json:"severity"`
-	Firing   bool    `json:"firing"`
-	Burn     float64 `json:"burn,omitempty"`
-	Detail   string  `json:"detail,omitempty"`
-}
-
-// maxAlertLog bounds the alert history a Set retains (oldest dropped).
-const maxAlertLog = 1024
-
-// PublishAlert appends an alert transition to the set's log. Safe on a
-// nil receiver.
-func (s *Set) PublishAlert(a Alert) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if len(s.alerts) >= maxAlertLog {
-		s.alerts = append(s.alerts[:0], s.alerts[1:]...)
-	}
-	s.alerts = append(s.alerts, a)
-	s.mu.Unlock()
-}
-
-// Alerts returns a copy of the alert log, oldest first.
-func (s *Set) Alerts() []Alert {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Alert(nil), s.alerts...)
 }
 
 // PublishInfo records a static key=value fact for /debug/holmes. Safe on
@@ -109,23 +58,20 @@ func (s *Set) Info() map[string]string {
 // Handler serves the set over HTTP:
 //
 //	/metrics      Prometheus text exposition
-//	/events       JSON decision log (newest last); ?type=SiblingRevoked
-//	              filters, ?n=100 keeps only the newest n
-//	/spans        JSON causal spans; ?format=chrome exports Chrome
-//	              trace-event JSON loadable in Perfetto
+//	/spans        JSON causal spans (newest last); ?kind=MaskDecision
+//	              filters, ?n=100 keeps only the newest n, and
+//	              ?format=chrome exports Chrome trace-event JSON loadable
+//	              in Perfetto
 //	/timeline     the span log rendered as an indented causal text tree
-//	/alerts       JSON burn-rate alert transitions
-//	/debug/holmes JSON bundle: info, metric snapshot, event totals
+//	/debug/holmes JSON bundle: info, metric snapshot, span totals
 //
 // The handler is safe to serve while the simulation records concurrently:
-// metric reads are atomic and the ring snapshots take their own locks.
+// metric reads are atomic and the span ring snapshot takes its own lock.
 func (s *Set) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.serveMetrics)
-	mux.HandleFunc("/events", s.serveEvents)
 	mux.HandleFunc("/spans", s.serveSpans)
 	mux.HandleFunc("/timeline", s.serveTimeline)
-	mux.HandleFunc("/alerts", s.serveAlerts)
 	mux.HandleFunc("/debug/holmes", s.serveDebug)
 	return mux
 }
@@ -133,34 +79,6 @@ func (s *Set) Handler() http.Handler {
 func (s *Set) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = WritePrometheus(w, s.Registry)
-}
-
-func (s *Set) serveEvents(w http.ResponseWriter, req *http.Request) {
-	events := s.Tracer.Ring().Snapshot()
-	if typ := req.URL.Query().Get("type"); typ != "" {
-		kept := events[:0]
-		for _, ev := range events {
-			if ev.Type.String() == typ {
-				kept = append(kept, ev)
-			}
-		}
-		events = kept
-	}
-	if nStr := req.URL.Query().Get("n"); nStr != "" {
-		if n, err := strconv.Atoi(nStr); err == nil && n >= 0 && n < len(events) {
-			events = events[len(events)-n:]
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(struct {
-		Total   uint64  `json:"total"`
-		Dropped uint64  `json:"dropped"`
-		Events  []Event `json:"events"`
-	}{
-		Total:   s.Tracer.Ring().Total(),
-		Dropped: s.Tracer.Ring().Dropped(),
-		Events:  events,
-	})
 }
 
 func (s *Set) serveSpans(w http.ResponseWriter, req *http.Request) {
@@ -174,12 +92,16 @@ func (s *Set) serveSpans(w http.ResponseWriter, req *http.Request) {
 		}
 		spans = kept
 	}
+	if nStr := req.URL.Query().Get("n"); nStr != "" {
+		if n, err := strconv.Atoi(nStr); err == nil && n >= 0 && n < len(spans) {
+			spans = spans[len(spans)-n:]
+		}
+	}
+	w.Header().Set("Content-Type", "application/json")
 	if req.URL.Query().Get("format") == "chrome" {
-		w.Header().Set("Content-Type", "application/json")
 		_ = WriteChromeTrace(w, spans)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(struct {
 		Total   uint64 `json:"total"`
 		Dropped uint64 `json:"dropped"`
@@ -196,49 +118,23 @@ func (s *Set) serveTimeline(w http.ResponseWriter, _ *http.Request) {
 	_, _ = w.Write([]byte(RenderSpanTree(s.Spans.Snapshot())))
 }
 
-func (s *Set) serveAlerts(w http.ResponseWriter, _ *http.Request) {
-	alerts := s.Alerts()
-	firing := 0
-	active := map[string]bool{}
-	for _, a := range alerts {
-		active[a.Severity+"/"+a.Name] = a.Firing
-	}
-	for _, on := range active {
-		if on {
-			firing++
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(struct {
-		Firing int     `json:"firing"`
-		Alerts []Alert `json:"alerts"`
-	}{Firing: firing, Alerts: alerts})
-}
-
 func (s *Set) serveDebug(w http.ResponseWriter, _ *http.Request) {
-	events := s.Tracer.Ring().Snapshot()
-	byType := map[string]int{}
-	for _, ev := range events {
-		byType[ev.Type.String()]++
+	byKind := map[string]int{}
+	for _, sp := range s.Spans.Snapshot() {
+		byKind[sp.Kind.String()]++
 	}
-	// Deterministic key order helps eyeballing and diffing.
-	keys := make([]string, 0, len(byType))
-	for k := range byType {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(struct {
-		Info        map[string]string `json:"info,omitempty"`
-		Metrics     []MetricSnapshot  `json:"metrics"`
-		EventTotal  uint64            `json:"event_total"`
-		EventCounts map[string]int    `json:"recent_event_counts"`
+		Info       map[string]string `json:"info,omitempty"`
+		Metrics    []MetricSnapshot  `json:"metrics"`
+		SpanTotal  uint64            `json:"span_total"`
+		SpanCounts map[string]int    `json:"recent_span_counts"`
 	}{
-		Info:        s.Info(),
-		Metrics:     s.Registry.Snapshot(),
-		EventTotal:  s.Tracer.Ring().Total(),
-		EventCounts: byType,
+		Info:       s.Info(),
+		Metrics:    s.Registry.Snapshot(),
+		SpanTotal:  s.Spans.Total(),
+		SpanCounts: byKind,
 	})
 }

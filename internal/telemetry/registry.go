@@ -1,6 +1,6 @@
 // Package telemetry is the Holmes daemon's observability subsystem: a
 // lock-cheap metrics registry (counters, gauges, log-bucketed histograms),
-// a structured decision-event tracer with pluggable sinks, and exposition
+// a causal span recorder that is the daemon's decision log, and exposition
 // in Prometheus text format and JSON over net/http.
 //
 // The paper's central claims are timing claims — reaction within 50-100 µs
@@ -9,8 +9,8 @@
 // once at registration (the only path that takes a lock or allocates) and
 // every subsequent record is a handful of atomic operations with zero heap
 // allocations. All handles are nil-safe: recording through a nil *Counter,
-// *Gauge, *Histogram or *Tracer is a no-op, so instrumented code does not
-// branch on whether telemetry is enabled.
+// *Gauge, *Histogram or *SpanRecorder is a no-op, so instrumented code does
+// not branch on whether telemetry is enabled.
 package telemetry
 
 import (

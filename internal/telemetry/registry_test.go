@@ -27,18 +27,18 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	var c *Counter
 	var g *Gauge
 	var h *Histogram
-	var tr *Tracer
+	var rec *SpanRecorder
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
-	tr.Emit(Event{Type: SiblingRevoked})
+	rec.Add(Span{Kind: SpanMaskDecision})
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nil handles reported values")
 	}
-	if tr.Ring() != nil {
-		t.Fatal("nil tracer returned a ring")
+	if rec.Snapshot() != nil {
+		t.Fatal("nil recorder returned spans")
 	}
 	var s *Set
 	s.PublishInfo("k", "v") // must not panic
@@ -186,13 +186,13 @@ func TestRecordPathDoesNotAllocate(t *testing.T) {
 	c := r.Counter("c_total", "")
 	g := r.Gauge("g", "")
 	h := r.Histogram("h", "", 1, 1e9, 30)
-	tr := NewTracer(64)
-	ev := Event{TimeNs: 1, Type: SiblingRevoked, CPU: 3, Core: 3, VPI: 55, Threshold: 40}
+	rec := NewSpanRecorder(64)
+	sp := Span{Kind: SpanMaskDecision, StartNs: 1, EndNs: 1, CPU: 3, Name: "revoke-sibling", Value: 40}
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		g.Set(4)
 		h.Observe(123456)
-		tr.Emit(ev)
+		rec.Add(sp)
 	})
 	if allocs != 0 {
 		t.Fatalf("record path allocates %.1f objects/op, want 0", allocs)

@@ -109,7 +109,7 @@ func (k SpanKind) MarshalJSON() ([]byte, error) {
 
 // Span is one sim-time-stamped interval in a causal chain. IDs are
 // per-recorder sequence numbers starting at 1; Parent 0 means a root
-// span. Like Event, a Span is a plain value: recording one copies it into
+// span. A Span is a plain value: recording one copies it into
 // a preallocated ring slot, and the string fields on the hot path carry
 // existing string headers, so the record path never heap-allocates.
 type Span struct {

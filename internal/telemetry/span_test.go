@@ -157,18 +157,3 @@ func TestRenderSpanTree(t *testing.T) {
 		t.Fatalf("orphan tree = %q", got)
 	}
 }
-
-func TestSetPublishAlert(t *testing.T) {
-	s := NewSet()
-	s.PublishAlert(Alert{TimeNs: 1, Name: "latency-slo", Severity: "page", Firing: true, Burn: 12})
-	s.PublishAlert(Alert{TimeNs: 2, Name: "latency-slo", Severity: "page", Firing: false})
-	got := s.Alerts()
-	if len(got) != 2 || !got[0].Firing || got[1].Firing {
-		t.Fatalf("alerts = %+v", got)
-	}
-	var nilSet *Set
-	nilSet.PublishAlert(Alert{})
-	if nilSet.Alerts() != nil {
-		t.Fatal("nil set returned alerts")
-	}
-}
