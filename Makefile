@@ -75,14 +75,16 @@ bench-test:
 	cd bench && GOTOOLCHAIN=local GOPROXY=off GOWORK=off $(GO) vet ./...
 	cd bench && GOTOOLCHAIN=local GOPROXY=off GOWORK=off $(GO) test ./...
 
-# Observability smoke: the Chrome-trace schema check and golden span-tree
-# test, then a small traced cluster run that exports the span timeline,
+# Observability smoke: the Chrome-trace schema check, the golden span-tree
+# test and the check that every registry daemon records spans, then a
+# small traced cluster run that exports the span timeline,
 # the flight-recorder bundle and the text dashboard into obs-out/. CI
 # uploads the directory as an artifact, so every commit carries an openable
 # trace (Perfetto / chrome://tracing) and a readable post-mortem bundle.
 obs-smoke:
 	$(GO) test -run 'TestGoldenEvictionSpanChain|TestObsChromeTraceValid|TestObsDeterministicAcrossWorkers' ./internal/cluster/
 	$(GO) test -run 'ChromeTrace|TestWriteSpansJSONL' ./internal/telemetry/
+	$(GO) test -run 'TestRegistryDaemonsRecordSpans' ./internal/experiments/
 	mkdir -p obs-out
 	$(GO) run ./cmd/holmes-cluster -nodes 3 -cores 4 -services 2 \
 		-warmup 0.2 -duration 1.0 -batch-pods 6 -chaos -dashboard \

@@ -29,8 +29,8 @@ import (
 	"os/signal"
 	"time"
 
-	"github.com/holmes-colocation/holmes/internal/core"
 	"github.com/holmes-colocation/holmes/internal/experiments"
+	"github.com/holmes-colocation/holmes/internal/scenario"
 	"github.com/holmes-colocation/holmes/internal/telemetry"
 )
 
@@ -38,13 +38,18 @@ func main() {
 	store := flag.String("store", "redis", "latency-critical service")
 	wl := flag.String("workload", "a", "YCSB workload (a|b|e)")
 	duration := flag.Duration("duration", 20*time.Second, "measured simulated duration")
-	e := flag.Float64("E", 40, "VPI deallocation threshold")
-	interval := flag.Duration("interval", 100*time.Microsecond, "monitor/scheduler interval")
+	e := flag.Float64("E", 40, "VPI deallocation threshold (positive)")
+	interval := flag.Duration("interval", 100*time.Microsecond, "monitor/scheduler interval, a positive whole number of microseconds")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	perfiso := flag.Bool("perfiso", false, "run the PerfIso baseline instead of Holmes")
 	httpAddr := flag.String("http", "", "serve /metrics, /spans and /debug/holmes on this address")
 	flag.Parse()
 
+	holmes, err := holmesSpec(*e, *interval)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(2)
+	}
 	setting := experiments.Holmes
 	if *perfiso {
 		setting = experiments.PerfIso
@@ -52,13 +57,7 @@ func main() {
 	cfg := experiments.DefaultColocation(*store, *wl, setting)
 	cfg.DurationNs = duration.Nanoseconds()
 	cfg.Seed = *seed
-	if setting == experiments.Holmes {
-		hc := core.DefaultConfig()
-		hc.E = *e
-		hc.IntervalNs = interval.Nanoseconds()
-		hc.SNs = 500_000_000
-		cfg.HolmesConfig = &hc
-	}
+	cfg.Holmes = holmes
 	cfg.VPISampleNs = 100_000_000
 
 	var set *telemetry.Set
@@ -105,6 +104,19 @@ func main() {
 		signal.Notify(sig, os.Interrupt)
 		<-sig
 	}
+}
+
+// holmesSpec turns -E and -interval into the daemon override, which reads
+// zero as the default and counts whole microseconds: values it cannot
+// carry are errors, not a silently substituted default.
+func holmesSpec(e float64, interval time.Duration) (*scenario.HolmesSpec, error) {
+	if !(e > 0) {
+		return nil, fmt.Errorf("-E %v must be positive", e)
+	}
+	if interval <= 0 || interval%time.Microsecond != 0 {
+		return nil, fmt.Errorf("-interval %v must be a positive whole number of microseconds", interval)
+	}
+	return &scenario.HolmesSpec{E: e, IntervalUs: interval.Microseconds()}, nil
 }
 
 // handler serves the telemetry endpoints and, beside them, the runtime

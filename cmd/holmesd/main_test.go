@@ -195,3 +195,42 @@ func findLine(text, prefix string) string {
 	}
 	return ""
 }
+
+// TestHolmesSpecFlags pins the -E and -interval checks: the daemon
+// override reads zero as the default and counts whole microseconds, so a
+// flag value it cannot carry is rejected instead of running the default.
+func TestHolmesSpecFlags(t *testing.T) {
+	cases := []struct {
+		name     string
+		e        float64
+		interval time.Duration
+		wantUs   int64 // 0: rejected
+	}{
+		{"defaults", 40, 100 * time.Microsecond, 100},
+		{"paper interval", 60, 50 * time.Microsecond, 50},
+		{"millisecond interval", 40, 10 * time.Millisecond, 10_000},
+		{"zero E", 0, 100 * time.Microsecond, 0},
+		{"negative E", -5, 100 * time.Microsecond, 0},
+		{"zero interval", 40, 0, 0},
+		{"negative interval", 40, -100 * time.Microsecond, 0},
+		{"sub-microsecond interval", 40, 500 * time.Nanosecond, 0},
+		{"fractional microseconds", 40, 1500 * time.Nanosecond, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h, err := holmesSpec(tc.e, tc.interval)
+			if tc.wantUs == 0 {
+				if err == nil {
+					t.Fatalf("accepted -E %v -interval %v as %+v", tc.e, tc.interval, h)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.E != tc.e || h.IntervalUs != tc.wantUs {
+				t.Fatalf("got %+v, want E %v, %d us", h, tc.e, tc.wantUs)
+			}
+		})
+	}
+}

@@ -17,7 +17,7 @@ import (
 
 func main() {
 	fmt.Println("running the §3.1 measurement sweep (single thread, then sibling pairs)...")
-	r := experiments.RunSweep(300_000_000, 1)
+	r := experiments.RunSweep(experiments.Options{Seed: 1, Scale: 2}) // 300 ms per point
 
 	fmt.Println()
 	fmt.Println(r.RenderTable1())

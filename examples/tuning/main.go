@@ -12,8 +12,8 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/holmes-colocation/holmes/internal/core"
 	"github.com/holmes-colocation/holmes/internal/experiments"
+	"github.com/holmes-colocation/holmes/internal/scenario"
 )
 
 func main() {
@@ -37,12 +37,9 @@ func main() {
 	fmt.Printf("%-6s %-12s %-12s %-12s %-12s %-10s\n",
 		"E", "avg/alone", "p90/alone", "p99/alone", "CPU util", "evictions")
 	for e := 40.0; e <= 80; e += 10 {
-		hc := core.DefaultConfig()
-		hc.E = e
-		hc.SNs = 500_000_000
 		cfg := experiments.DefaultColocation(store, "a", experiments.Holmes)
 		cfg.DurationNs = duration
-		cfg.HolmesConfig = &hc
+		cfg.Holmes = &scenario.HolmesSpec{E: e}
 		r, err := experiments.RunColocation(cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)

@@ -448,3 +448,47 @@ func TestUsageTriggerEvictsComputeOnlyService(t *testing.T) {
 		t.Fatal("usage trigger never evicted despite busy LC CPUs")
 	}
 }
+
+// TestUsageTriggerThreshold pins usageEvictThreshold from both sides: an
+// LC CPU busy for 45% of every invocation interval keeps its sibling
+// under the usage trigger, one busy for 55% loses it.
+func TestUsageTriggerThreshold(t *testing.T) {
+	for _, tc := range []struct {
+		busy  float64
+		evict bool
+	}{{0.45, false}, {0.55, true}} {
+		m, k, fs := newEnv()
+		cfg := testDaemonConfig()
+		cfg.ReservedCPUs = 1
+		cfg.TriggerMetric = MetricUsage
+		d, err := Start(k, fs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := k.Spawn("lc", 1)
+		if err := d.RegisterLC(svc.PID); err != nil {
+			t.Fatal(err)
+		}
+		// One work item of busy x interval every interval: any
+		// interval-long sample window holds exactly that busy share.
+		th, period := svc.Threads()[0], cfg.IntervalNs
+		cycles := tc.busy * m.Config().FreqGHz * float64(period)
+		var push func(int64)
+		push = func(now int64) {
+			th.HW.Push(workload.Work(workload.Compute(cycles)))
+			m.Schedule(now+period, push)
+		}
+		push(m.Now())
+		m.RunFor(20_000_000)
+		lc := d.ReservedCPUs().CPUs()[0]
+		_, dealloc, _, _ := d.Stats()
+		if evicted := dealloc > 0; evicted != tc.evict {
+			t.Fatalf("busy %.2f (sampled usage %.3f): evicted = %v, want %v",
+				tc.busy, d.Monitor().Usage(lc), evicted, tc.evict)
+		}
+		if kept := d.BatchMask().Has(m.Sibling(lc)); kept == tc.evict {
+			t.Fatalf("busy %.2f: sibling in batch mask = %v, want %v", tc.busy, kept, !tc.evict)
+		}
+		d.Stop()
+	}
+}

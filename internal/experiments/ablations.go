@@ -6,7 +6,7 @@ import (
 	"github.com/holmes-colocation/holmes/internal/core"
 	"github.com/holmes-colocation/holmes/internal/hpe"
 	"github.com/holmes-colocation/holmes/internal/rng"
-	"github.com/holmes-colocation/holmes/internal/runner"
+	"github.com/holmes-colocation/holmes/internal/scenario"
 	"github.com/holmes-colocation/holmes/internal/trace"
 )
 
@@ -38,8 +38,8 @@ type Correlation2 struct {
 
 // RunAblationCPS executes the comparison over the §3.1 sweep extended
 // with the varying-thread points.
-func RunAblationCPS(windowNs int64, seed uint64) AblationCPS {
-	r := RunSweep(windowNs, seed)
+func RunAblationCPS(o Options) AblationCPS {
+	r := RunSweep(o)
 	var out AblationCPS
 	for _, c := range r.Sweep.CorrelationsWithVarThread() {
 		out.VPI = append(out.VPI, Correlation2{c.Event, c.Corr})
@@ -78,30 +78,21 @@ type AblationMetricRow struct {
 }
 
 // RunAblationMetric runs Redis workload-a co-location under both
-// triggers, fanning the two runs across up to workers goroutines. Each
-// trigger's seed derives from (seed, trigger), so the comparison is
-// identical at any parallelism.
-func RunAblationMetric(durationNs int64, seed uint64, workers int) (AblationMetricResult, error) {
+// triggers for the profile's co-location window, fanning the two runs
+// across up to o.Parallel goroutines. Each trigger's seed derives from
+// (seed, trigger), so the comparison is identical at any parallelism.
+func RunAblationMetric(o Options) (AblationMetricResult, error) {
 	var out AblationMetricResult
 	metrics := []core.Metric{core.MetricVPI, core.MetricUsage}
-	results := make([]*ColocationResult, len(metrics))
-	tasks := make([]func() error, len(metrics))
+	cfgs := make([]ColocationConfig, len(metrics))
 	for i, metric := range metrics {
-		i, metric := i, metric
-		tasks[i] = func() error {
-			hc := core.DefaultConfig()
-			hc.TriggerMetric = metric
-			hc.SNs = 500_000_000
-			cfg := DefaultColocation("redis", "a", Holmes)
-			cfg.DurationNs = durationNs
-			cfg.Seed = rng.DeriveSeed(seed, "ablation-metric", string(metric))
-			cfg.HolmesConfig = &hc
-			r, err := RunColocation(cfg)
-			results[i] = r
-			return err
-		}
+		cfgs[i] = o.colocation("redis", "a", Holmes)
+		cfgs[i].DurationNs = o.colocDuration()
+		cfgs[i].Seed = rng.DeriveSeed(o.Seed, "ablation-metric", string(metric))
+		cfgs[i].Holmes = &scenario.HolmesSpec{TriggerMetric: string(metric)}
 	}
-	if err := runner.Run(workers, tasks); err != nil {
+	results, err := runColocations(o, cfgs)
+	if err != nil {
 		return out, err
 	}
 	for i, metric := range metrics {
@@ -145,30 +136,21 @@ type AblationIntervalRow struct {
 	DaemonUtil    float64
 }
 
-// RunAblationInterval sweeps §6.7's invocation interval, one concurrent
-// run per interval (bounded by workers). Each interval's seed derives
-// from (seed, interval).
-func RunAblationInterval(durationNs int64, seed uint64, workers int) (AblationIntervalResult, error) {
+// RunAblationInterval sweeps §6.7's invocation interval over half the
+// profile's co-location window, one concurrent run per interval (bounded
+// by o.Parallel). Each interval's seed derives from (seed, interval).
+func RunAblationInterval(o Options) (AblationIntervalResult, error) {
 	var out AblationIntervalResult
 	ivs := []int64{50_000, 100_000, 500_000, 1_000_000, 10_000_000}
-	results := make([]*ColocationResult, len(ivs))
-	tasks := make([]func() error, len(ivs))
+	cfgs := make([]ColocationConfig, len(ivs))
 	for i, iv := range ivs {
-		i, iv := i, iv
-		tasks[i] = func() error {
-			hc := core.DefaultConfig()
-			hc.IntervalNs = iv
-			hc.SNs = 500_000_000
-			cfg := DefaultColocation("redis", "a", Holmes)
-			cfg.DurationNs = durationNs
-			cfg.Seed = rng.DeriveSeed(seed, "ablation-interval", fmt.Sprint(iv))
-			cfg.HolmesConfig = &hc
-			r, err := RunColocation(cfg)
-			results[i] = r
-			return err
-		}
+		cfgs[i] = o.colocation("redis", "a", Holmes)
+		cfgs[i].DurationNs = o.colocDuration() / 2
+		cfgs[i].Seed = rng.DeriveSeed(o.Seed, "ablation-interval", fmt.Sprint(iv))
+		cfgs[i].Holmes = &scenario.HolmesSpec{IntervalUs: iv / 1000}
 	}
-	if err := runner.Run(workers, tasks); err != nil {
+	results, err := runColocations(o, cfgs)
+	if err != nil {
 		return out, err
 	}
 	for i, iv := range ivs {
@@ -205,14 +187,15 @@ type AblationsResult struct {
 	Interval AblationIntervalResult
 }
 
-// RunAblations runs the three studies at the profile's windows.
+// RunAblations runs the three studies at the profile's windows. The two
+// daemon studies keep DefaultColocation's fixed warm-up.
 func RunAblations(o Options) (AblationsResult, error) {
-	out := AblationsResult{CPS: RunAblationCPS(o.sweepWindow(), o.Seed)}
+	out := AblationsResult{CPS: RunAblationCPS(o)}
 	var err error
-	if out.Metric, err = RunAblationMetric(o.colocDuration(), o.Seed, o.workers()); err != nil {
+	if out.Metric, err = RunAblationMetric(o); err != nil {
 		return out, err
 	}
-	out.Interval, err = RunAblationInterval(o.colocDuration()/2, o.Seed, o.workers())
+	out.Interval, err = RunAblationInterval(o)
 	return out, err
 }
 

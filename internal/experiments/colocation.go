@@ -16,10 +16,10 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/holmes-colocation/holmes/internal/core"
 	"github.com/holmes-colocation/holmes/internal/hpe"
 	"github.com/holmes-colocation/holmes/internal/kvstore"
 	"github.com/holmes-colocation/holmes/internal/perf"
+	"github.com/holmes-colocation/holmes/internal/runner"
 	"github.com/holmes-colocation/holmes/internal/scenario"
 	"github.com/holmes-colocation/holmes/internal/stats"
 	"github.com/holmes-colocation/holmes/internal/telemetry"
@@ -71,9 +71,10 @@ type ColocationConfig struct {
 	RPS float64
 	// Seed drives the whole run.
 	Seed uint64
-	// HolmesConfig overrides the daemon settings (Fig. 14's E sweep);
-	// nil uses core.DefaultConfig with the compressed quiet period.
-	HolmesConfig *core.Config
+	// Holmes overrides the daemon's E, interval, quiet period or trigger
+	// (Fig. 14's E sweep, the §6.7 ablations); nil keeps the scenario
+	// defaults, among them the compressed 0.5 s quiet period.
+	Holmes *scenario.HolmesSpec
 	// VPISampleNs > 0 records the average VPI across the LC CPUs into
 	// VPISeries at this period (Fig. 13).
 	VPISampleNs int64
@@ -156,6 +157,7 @@ func colocationSpec(cfg ColocationConfig) (scenario.Spec, error) {
 			Store: cfg.Store, Workload: cfg.Workload, RecordCount: cfg.RecordCount, RPS: cfg.RPS,
 			BurstSeconds: [2]float64{6, 9}, GapSeconds: [2]float64{0.5, 1},
 		}},
+		Holmes:          cfg.Holmes,
 		WarmupSeconds:   float64(cfg.WarmupNs) / 1e9,
 		DurationSeconds: float64(cfg.DurationNs) / 1e9,
 		Seed:            cfg.Seed,
@@ -193,7 +195,7 @@ func RunColocation(cfg ColocationConfig) (*ColocationResult, error) {
 		cfg.Telemetry.PublishInfo("run.workload", cfg.Workload)
 		cfg.Telemetry.PublishInfo("run.setting", string(cfg.Setting))
 	}
-	node, err := scenario.Boot(spec, cfg.Telemetry, cfg.HolmesConfig)
+	node, err := scenario.Boot(spec, cfg.Telemetry)
 	if err != nil {
 		return nil, err
 	}
@@ -253,4 +255,20 @@ func RunColocation(cfg ColocationConfig) (*ColocationResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// runColocations runs cfgs across up to o.Parallel goroutines and returns
+// their results in cfgs' order. Each config derives its seed from its own
+// key, so the results are identical at any parallelism.
+func runColocations(o Options, cfgs []ColocationConfig) ([]*ColocationResult, error) {
+	results := make([]*ColocationResult, len(cfgs))
+	tasks := make([]func() error, len(cfgs))
+	for i := range cfgs {
+		i := i
+		tasks[i] = func() (err error) {
+			results[i], err = RunColocation(cfgs[i])
+			return err
+		}
+	}
+	return results, runner.Run(o.workers(), tasks)
 }

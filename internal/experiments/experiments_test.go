@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/holmes-colocation/holmes/internal/core"
 	"github.com/holmes-colocation/holmes/internal/hpe"
+	"github.com/holmes-colocation/holmes/internal/scenario"
 )
 
 // Test durations are short; the bench harness runs the full windows. The
@@ -120,7 +120,7 @@ func TestMemcachedNoScans(t *testing.T) {
 func TestFig3Shape(t *testing.T) {
 	skipHeavyUnderRace(t)
 	t.Parallel()
-	r, err := RunFig3(1_500_000_000, 1)
+	r, err := RunFig3(Options{Seed: 1, Scale: 0.9375}) // 1.5 s measured
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestFig3Shape(t *testing.T) {
 func TestFig5VPITracksLatency(t *testing.T) {
 	skipHeavyUnderRace(t)
 	t.Parallel()
-	r, err := RunFig5(1_200_000_000, 1, []string{"redis", "memcached"})
+	r, err := RunFig5(Options{Seed: 1, Scale: 0.75}, []string{"redis", "memcached"}) // 1.2 s measured
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,13 +203,10 @@ func TestFig14HigherEWorse(t *testing.T) {
 	t.Parallel()
 	// Compare E=40 against E=80 directly (the sweep's endpoints).
 	run := func(e float64) float64 {
-		hc := core.DefaultConfig()
-		hc.E = e
-		hc.SNs = 500_000_000
 		cfg := DefaultColocation("redis", "a", Holmes)
 		cfg.DurationNs = testColoc
 		cfg.WarmupNs = testWarm
-		cfg.HolmesConfig = &hc
+		cfg.Holmes = &scenario.HolmesSpec{E: e}
 		r, err := RunColocation(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -228,7 +225,7 @@ func TestFig14HigherEWorse(t *testing.T) {
 
 func TestTable4Ordering(t *testing.T) {
 	t.Parallel()
-	r, err := RunTable4(1, 1)
+	r, err := RunTable4(Options{Seed: 1, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +287,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestAblationCPSWeakerThanVPI(t *testing.T) {
-	r := RunAblationCPS(120_000_000, 1)
+	r := RunAblationCPS(Options{Seed: 1, Scale: 0.8}) // 120 ms per point
 	byEvent := func(rows []Correlation2, e hpe.Event) float64 {
 		for _, c := range rows {
 			if c.Event == e {
@@ -316,7 +313,7 @@ func TestAblationCPSWeakerThanVPI(t *testing.T) {
 func TestAblationMetricUsageTriggerCostsThroughput(t *testing.T) {
 	skipHeavyUnderRace(t)
 	t.Parallel()
-	r, err := RunAblationMetric(4_000_000_000, 1, 1)
+	r, err := RunAblationMetric(Options{Seed: 1, Scale: 0.5, Parallel: 1}) // 4 s measured
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +340,7 @@ func TestAblationMetricUsageTriggerCostsThroughput(t *testing.T) {
 func TestAblationIntervalTradeoff(t *testing.T) {
 	skipHeavyUnderRace(t)
 	t.Parallel()
-	r, err := RunAblationInterval(3_000_000_000, 1, 1)
+	r, err := RunAblationInterval(Options{Seed: 1, Scale: 0.75, Parallel: 1}) // 3 s measured
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +361,7 @@ func TestAblationIntervalTradeoff(t *testing.T) {
 }
 
 func TestFig2ExperimentRuns(t *testing.T) {
-	r := RunFig2(200_000_000, 1)
+	r := RunFig2(Options{Seed: 1, Scale: 0.5}) // 200 ms per case
 	if len(r.Cases) != 6 {
 		t.Fatalf("cases = %d", len(r.Cases))
 	}
@@ -379,7 +376,7 @@ func TestFig2ExperimentRuns(t *testing.T) {
 }
 
 func TestSweepExperiment(t *testing.T) {
-	r := RunSweep(120_000_000, 1)
+	r := RunSweep(Options{Seed: 1, Scale: 0.8}) // 120 ms per point
 	t1 := r.RenderTable1()
 	if !strings.Contains(t1, "STALLS_MEM_ANY") || !strings.Contains(t1, "0x14a3") {
 		t.Fatalf("table1 render: %s", t1)
@@ -398,7 +395,7 @@ func TestSweepExperiment(t *testing.T) {
 func TestOverheadExperiment(t *testing.T) {
 	skipHeavyUnderRace(t)
 	t.Parallel()
-	r, err := RunOverhead(3_000_000_000, 1)
+	r, err := RunOverhead(Options{Seed: 1, Scale: 0.375}) // 3 s measured
 	if err != nil {
 		t.Fatal(err)
 	}

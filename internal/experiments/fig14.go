@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/holmes-colocation/holmes/internal/core"
 	"github.com/holmes-colocation/holmes/internal/rng"
-	"github.com/holmes-colocation/holmes/internal/runner"
+	"github.com/holmes-colocation/holmes/internal/scenario"
 )
 
 // Fig14Point is one (service, E) measurement: Holmes latency normalized
@@ -29,61 +28,45 @@ type Fig14Result struct {
 // fig14Es lists the swept thresholds: 40 to 80, step 10, as in §6.4.
 func fig14Es() []float64 { return []float64{40, 50, 60, 70, 80} }
 
-// RunFig14 sweeps the deallocation threshold E for every service under
-// workload-a, as in §6.4. Every (store, E) point — and each store's Alone
+// RunFig14 sweeps the deallocation threshold E under workload-a, as in
+// §6.4, over every service at the full profile and over Redis and
+// RocksDB otherwise. Every (store, E) point — and each store's Alone
 // baseline — is an independent simulation run, fanned out across up to
-// workers goroutines with seeds derived from (seed, store, point), so the
-// sweep is order-independent. warmupNs <= 0 keeps the default warmup.
-func RunFig14(durationNs, warmupNs int64, seed uint64, stores []string, workers int) (Fig14Result, error) {
+// o.Parallel goroutines with seeds derived from (seed, store, point), so
+// the sweep is order-independent.
+func RunFig14(o Options) (Fig14Result, error) {
 	var out Fig14Result
-	if stores == nil {
-		stores = StoreNames()
+	stores := StoreNames()
+	if !o.Full {
+		stores = []string{"redis", "rocksdb"}
 	}
 	es := fig14Es()
-
-	run := func(store string, setting Setting, hc *core.Config, tag string) (*ColocationResult, error) {
-		cfg := DefaultColocation(store, "a", setting)
-		cfg.DurationNs = durationNs
-		if warmupNs > 0 {
-			cfg.WarmupNs = warmupNs
+	// Each store contributes its Alone baseline, then one run per E.
+	var cfgs []ColocationConfig
+	for _, store := range stores {
+		add := func(setting Setting, tag string, h *scenario.HolmesSpec) {
+			cfg := o.colocation(store, "a", setting)
+			cfg.DurationNs = o.colocDuration() / 2
+			cfg.WarmupNs = o.colocWarmup()
+			cfg.Seed = rng.DeriveSeed(o.Seed, "fig14", store, tag)
+			cfg.Holmes = h
+			cfgs = append(cfgs, cfg)
 		}
-		cfg.Seed = rng.DeriveSeed(seed, "fig14", store, tag)
-		cfg.HolmesConfig = hc
-		return RunColocation(cfg)
-	}
-
-	// Alone baselines and E points all run concurrently; results land in
-	// per-index slots so assembly order never depends on completion order.
-	alones := make([]*ColocationResult, len(stores))
-	points := make([]*ColocationResult, len(stores)*len(es))
-	var tasks []func() error
-	for si, store := range stores {
-		si, store := si, store
-		tasks = append(tasks, func() error {
-			r, err := run(store, Alone, nil, "alone")
-			alones[si] = r
-			return err
-		})
-		for ei, e := range es {
-			si, ei, e := si, ei, e
-			tasks = append(tasks, func() error {
-				hc := core.DefaultConfig()
-				hc.E = e
-				hc.SNs = 500_000_000
-				r, err := run(store, Holmes, &hc, fmt.Sprintf("E=%.0f", e))
-				points[si*len(es)+ei] = r
-				return err
-			})
+		add(Alone, "alone", nil)
+		for _, e := range es {
+			add(Holmes, fmt.Sprintf("E=%.0f", e), &scenario.HolmesSpec{E: e})
 		}
 	}
-	if err := runner.Run(workers, tasks); err != nil {
+	runs, err := runColocations(o, cfgs)
+	if err != nil {
 		return out, err
 	}
 
+	per := 1 + len(es)
 	for si, store := range stores {
-		aSum := alones[si].Latency.Summarize()
+		aSum := runs[si*per].Latency.Summarize()
 		for ei, e := range es {
-			sum := points[si*len(es)+ei].Latency.Summarize()
+			sum := runs[si*per+1+ei].Latency.Summarize()
 			out.Points = append(out.Points, Fig14Point{
 				Store: store,
 				E:     e,

@@ -23,14 +23,14 @@ type Fig2CaseResult struct {
 	CDF     []stats.CDFPoint
 }
 
-// RunFig2 executes the six placements. durationNs per case (the full
-// harness uses 2 s; tests shrink it).
-func RunFig2(durationNs int64, seed uint64) Fig2Result {
+// RunFig2 executes the six placements for the profile's micro window
+// each (2 s at the full profile).
+func RunFig2(o Options) Fig2Result {
 	cfg := machine.DefaultConfig()
-	cfg.Seed = seed
+	cfg.Seed = o.Seed
 	var out Fig2Result
 	for _, c := range microbench.Fig2Cases() {
-		s := microbench.RunFig2Case(cfg, c, durationNs)
+		s := microbench.RunFig2Case(cfg, c, o.microDuration())
 		out.Cases = append(out.Cases, Fig2CaseResult{
 			Case:    c,
 			Summary: s.Summarize(),

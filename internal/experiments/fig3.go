@@ -7,7 +7,6 @@ import (
 	"github.com/holmes-colocation/holmes/internal/batch"
 	"github.com/holmes-colocation/holmes/internal/cpuid"
 	"github.com/holmes-colocation/holmes/internal/kernel"
-	"github.com/holmes-colocation/holmes/internal/kvstore/redis"
 	"github.com/holmes-colocation/holmes/internal/lcservice"
 	"github.com/holmes-colocation/holmes/internal/machine"
 	"github.com/holmes-colocation/holmes/internal/stats"
@@ -40,44 +39,29 @@ type Fig3Result struct {
 }
 
 // RunFig3 reproduces the motivation experiment: Redis under YCSB
-// workload-a with a Spark-KMeans batch job placed per setting.
-func RunFig3(durationNs int64, seed uint64) (Fig3Result, error) {
+// workload-a with a Spark-KMeans batch job placed per setting, measured
+// for four times the profile's micro window.
+func RunFig3(o Options) (Fig3Result, error) {
 	out := Fig3Result{
 		Settings: map[Fig3Setting]stats.Summary{},
 		CDFs:     map[Fig3Setting][]stats.CDFPoint{},
 	}
 	for _, setting := range Fig3Settings() {
-		mcfg := machine.DefaultConfig()
-		mcfg.Seed = seed
-		m := machine.New(mcfg)
-		k := kernel.New(m)
-
-		rcfg := redis.DefaultConfig()
-		rcfg.Seed = seed
-		svc := lcservice.Launch(k, redis.New(rcfg), lcservice.DefaultConfigFor("redis"))
-		gcfg := ycsb.DefaultConfig(ycsb.WorkloadA)
-		gcfg.RecordCount = 50_000
-		gcfg.Seed = seed + 17
-		gen := ycsb.NewGenerator(gcfg)
-		svc.Load(gen)
-
-		// Redis pinned on four logical CPUs (0-3) in every setting.
-		lcMask := cpuid.MaskOf(0, 1, 2, 3)
-		if err := svc.Process().SetAffinity(lcMask); err != nil {
+		n, err := newServedNode("redis", o.Seed)
+		if err != nil {
 			return out, err
 		}
-
 		// Batch placement per setting. The job is a KMeans-like kernel
 		// with as many threads as it has CPUs.
 		if setting != Fig3Alone {
-			all := cpuid.FullMask(mcfg.Topology.LogicalCPUs())
-			mask := all.Subtract(lcMask)
+			topo := n.m.Topology()
+			mask := cpuid.FullMask(topo.LogicalCPUs()).Subtract(servedCPUs)
 			if setting == Fig3CoSeparate {
-				for _, lc := range lcMask.CPUs() {
-					mask.Clear(mcfg.Topology.SiblingOf(lc))
+				for _, lc := range servedCPUs.CPUs() {
+					mask.Clear(topo.SiblingOf(lc))
 				}
 			}
-			bp := k.Spawn("kmeans", mask.Count())
+			bp := n.k.Spawn("kmeans", mask.Count())
 			if err := bp.SetAffinity(mask); err != nil {
 				return out, err
 			}
@@ -86,21 +70,73 @@ func RunFig3(durationNs int64, seed uint64) (Fig3Result, error) {
 				startChain(th, unit)
 			}
 		}
-
-		// Constant workload-a traffic at the standard Redis rate.
-		tr := ycsb.NewTraffic(1e9, 2e9, 1, 2, defaultRPS("redis", "a"), seed+29)
-		client := lcservice.NewClient(svc, gen, tr)
-		client.StartServing()
-
-		m.RunFor(durationNs / 5) // warmup
-		svc.ResetLatencies()
-		m.RunFor(durationNs)
-		client.Stop()
-
-		out.Settings[setting] = svc.Latencies().Summarize()
-		out.CDFs[setting] = svc.Latencies().CDF(20)
+		lat := n.measure(o.microDuration()*4, nil)
+		out.Settings[setting] = lat.Summarize()
+		out.CDFs[setting] = lat.CDF(20)
 	}
 	return out, nil
+}
+
+// newKernel boots a default machine at seed, with its tick set to tickNs
+// unless that is 0, and the kernel on it: the bare node every experiment
+// outside the co-location scenario builds on.
+func newKernel(seed uint64, tickNs int64) (*machine.Machine, *kernel.Kernel) {
+	mcfg := machine.DefaultConfig()
+	mcfg.Seed = seed
+	if tickNs > 0 {
+		mcfg.TickNs = tickNs
+	}
+	m := machine.New(mcfg)
+	return m, kernel.New(m)
+}
+
+// servedCPUs are the four logical CPUs a served node pins its store to.
+var servedCPUs = cpuid.MaskOf(0, 1, 2, 3)
+
+// servedNode is the node of the §2.2 and §3.2 studies: one store
+// preloaded with 50k workload-a records and pinned to servedCPUs, with a
+// client ready to send it constant workload-a traffic at the store's
+// standard rate. The caller places its sibling load before measure
+// starts the client.
+type servedNode struct {
+	m      *machine.Machine
+	k      *kernel.Kernel
+	svc    *lcservice.Service
+	client *lcservice.Client
+}
+
+func newServedNode(store string, seed uint64) (*servedNode, error) {
+	m, k := newKernel(seed, 0)
+	st, err := lcservice.NewStore(store, seed)
+	if err != nil {
+		return nil, err
+	}
+	svc := lcservice.Launch(k, st, lcservice.DefaultConfigFor(store))
+	gcfg := ycsb.DefaultConfig(ycsb.WorkloadA)
+	gcfg.RecordCount = 50_000
+	gcfg.Seed = seed + 17
+	gen := ycsb.NewGenerator(gcfg)
+	svc.Load(gen)
+	if err := svc.Process().SetAffinity(servedCPUs); err != nil {
+		return nil, err
+	}
+	tr := ycsb.NewTraffic(1e9, 2e9, 1, 2, defaultRPS(store, "a"), seed+29)
+	return &servedNode{m: m, k: k, svc: svc, client: lcservice.NewClient(svc, gen, tr)}, nil
+}
+
+// measure starts the client, warms up for d/5, resets the latencies,
+// calls warmed (when non-nil), then measures for d and returns the
+// window's latencies.
+func (n *servedNode) measure(d int64, warmed func()) *stats.Histogram {
+	n.client.StartServing()
+	n.m.RunFor(d / 5)
+	n.svc.ResetLatencies()
+	if warmed != nil {
+		warmed()
+	}
+	n.m.RunFor(d)
+	n.client.Stop()
+	return n.svc.Latencies()
 }
 
 // startChain keeps a kernel thread busy with identical work items.

@@ -7,12 +7,10 @@ import (
 	"github.com/holmes-colocation/holmes/internal/cpuid"
 	"github.com/holmes-colocation/holmes/internal/hpe"
 	"github.com/holmes-colocation/holmes/internal/kernel"
-	"github.com/holmes-colocation/holmes/internal/lcservice"
 	"github.com/holmes-colocation/holmes/internal/machine"
 	"github.com/holmes-colocation/holmes/internal/perf"
 	"github.com/holmes-colocation/holmes/internal/stats"
 	"github.com/holmes-colocation/holmes/internal/workload"
-	"github.com/holmes-colocation/holmes/internal/ycsb"
 )
 
 // Fig5Load is one prober intensity of §3.2.
@@ -46,61 +44,36 @@ type Fig5Result struct {
 // fig5Run measures one service with an optional sibling prober at the
 // given per-thread RPS. It returns (avg, p99, mean VPI across LC CPUs).
 func fig5Run(store string, proberRPS float64, durationNs int64, seed uint64) (float64, float64, float64, error) {
-	mcfg := machine.DefaultConfig()
-	mcfg.Seed = seed
-	m := machine.New(mcfg)
-	k := kernel.New(m)
-
-	st, err := lcservice.NewStore(store, seed)
+	n, err := newServedNode(store, seed)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	svc := lcservice.Launch(k, st, lcservice.DefaultConfigFor(store))
-	gcfg := ycsb.DefaultConfig(ycsb.WorkloadA)
-	gcfg.RecordCount = 50_000
-	gcfg.Seed = seed + 17
-	gen := ycsb.NewGenerator(gcfg)
-	svc.Load(gen)
-
-	lcMask := cpuid.MaskOf(0, 1, 2, 3)
-	if err := svc.Process().SetAffinity(lcMask); err != nil {
-		return 0, 0, 0, err
-	}
-
 	// The memory access program: one thread per LC sibling at proberRPS.
 	if proberRPS > 0 {
-		prober := k.Spawn("mem-prober", 4)
+		prober := n.k.Spawn("mem-prober", 4)
 		for i, th := range prober.Threads() {
-			sib := mcfg.Topology.SiblingOf(i)
-			if err := k.SetAffinity(th.TID, cpuid.MaskOf(sib)); err != nil {
+			sib := n.m.Topology().SiblingOf(i)
+			if err := n.k.SetAffinity(th.TID, cpuid.MaskOf(sib)); err != nil {
 				return 0, 0, 0, err
 			}
-			scheduleProbeArrivals(m, th, proberRPS)
+			scheduleProbeArrivals(n.m, th, proberRPS)
 		}
 	}
 
 	// VPI groups on the four LC CPUs (summed, as §3.2 does).
-	groups := make([]*perf.VPIGroup, 4)
+	groups := make([]*perf.VPIGroup, servedCPUs.Count())
 	for i := range groups {
-		groups[i], err = perf.OpenVPI(m, hpe.StallsMemAny, i)
+		groups[i], err = perf.OpenVPI(n.m, hpe.StallsMemAny, i)
 		if err != nil {
 			return 0, 0, 0, err
 		}
 	}
 
-	tr := ycsb.NewTraffic(1e9, 2e9, 1, 2, defaultRPS(store, "a"), seed+29)
-	client := lcservice.NewClient(svc, gen, tr)
-	client.StartServing()
-
-	m.RunFor(durationNs / 5)
-	svc.ResetLatencies()
-	for _, g := range groups {
-		g.Sample() // reset the interval
-	}
-	m.RunFor(durationNs)
-	client.Stop()
-
-	sum := svc.Latencies().Summarize()
+	sum := n.measure(durationNs, func() {
+		for _, g := range groups {
+			g.Sample() // reset the interval
+		}
+	}).Summarize()
 	vpi := 0.0
 	for _, g := range groups {
 		vpi += g.Sample()
@@ -122,9 +95,10 @@ func scheduleProbeArrivals(m *machine.Machine, th *kernel.Thread, rps float64) {
 	m.Schedule(m.Now()+period, arrive)
 }
 
-// RunFig5 executes the §3.2 effectiveness study. A nil stores slice runs
-// all four services.
-func RunFig5(durationNs int64, seed uint64, stores []string) (Fig5Result, error) {
+// RunFig5 executes the §3.2 effectiveness study for four times the
+// profile's micro window. A nil stores slice runs all four services.
+func RunFig5(o Options, stores []string) (Fig5Result, error) {
+	durationNs, seed := o.microDuration()*4, o.Seed
 	var out Fig5Result
 	if stores == nil {
 		stores = StoreNames()

@@ -24,22 +24,16 @@ type OverheadResult struct {
 }
 
 // RunOverhead measures the daemon's cost during a standard co-location
-// run (Redis, workload-a). The run always carries a telemetry set so the
+// run (Redis, workload-a) at DefaultColocation's warm-up. The run always
+// carries a telemetry set — o.Telemetry, else a private one — so the
 // daemon-vs-telemetry split is measured, not assumed.
-func RunOverhead(durationNs int64, seed uint64) (OverheadResult, error) {
-	return RunOverheadWith(durationNs, seed, nil)
-}
-
-// RunOverheadWith is RunOverhead recording into the caller's telemetry
-// set (holmes-bench's -trace-out); a nil set gets a private one.
-func RunOverheadWith(durationNs int64, seed uint64, set *telemetry.Set) (OverheadResult, error) {
-	if set == nil {
-		set = telemetry.NewSet()
+func RunOverhead(o Options) (OverheadResult, error) {
+	cfg := o.colocation("redis", "a", Holmes)
+	if cfg.Telemetry == nil {
+		cfg.Telemetry = telemetry.NewSet()
 	}
-	cfg := DefaultColocation("redis", "a", Holmes)
-	cfg.DurationNs = durationNs
-	cfg.Seed = seed
-	cfg.Telemetry = set
+	cfg.DurationNs = o.colocDuration()
+	cfg.Seed = o.Seed
 	r, err := RunColocation(cfg)
 	if err != nil {
 		return OverheadResult{}, err

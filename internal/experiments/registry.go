@@ -21,10 +21,12 @@ type Options struct {
 	// (<= 1 means serial). Results are byte-identical at any value: every
 	// run's seed derives from (Seed, run key), never from scheduling.
 	Parallel int
-	// Telemetry, when non-nil, is attached to every suite co-location run
-	// so holmes-bench can export its decision spans afterwards. Recording
-	// charges its modeled cost to each daemon, so CPU figures differ
-	// slightly from a run without a set.
+	// Telemetry, when non-nil, is attached to every Holmes daemon a run
+	// starts — every co-location run, table4's convergence trials and the
+	// cluster nodes — so holmes-bench can export their decision spans
+	// afterwards. Recording charges its modeled cost to each daemon, so
+	// CPU figures differ slightly from a run without a set. fig2, fig3,
+	// fig5, table1 and fig4 start no daemon and record nothing.
 	Telemetry *telemetry.Set
 }
 
@@ -45,9 +47,17 @@ func (o Options) colocDuration() int64 {
 	return o.scaled(8_000_000_000)
 }
 
-// colocWarmup is the pre-measurement window of suite runs; it scales with
-// the profile so heavily compressed runs (tests, smoke profiles) do not
-// spend most of their time warming up.
+// colocation is DefaultColocation recording into o.Telemetry: the one
+// place a registry co-location run picks up the options' set.
+func (o Options) colocation(store, workload string, setting Setting) ColocationConfig {
+	cfg := DefaultColocation(store, workload, setting)
+	cfg.Telemetry = o.Telemetry
+	return cfg
+}
+
+// colocWarmup is the pre-measurement window of suite, fig13 and fig14
+// runs; it scales with the profile so heavily compressed runs (tests,
+// smoke profiles) do not spend most of their time warming up.
 func (o Options) colocWarmup() int64 {
 	return o.scaled(2_000_000_000)
 }
@@ -130,7 +140,7 @@ func Registry() map[string]Experiment {
 		sweepMu.Lock()
 		defer sweepMu.Unlock()
 		if sweep == nil {
-			s := RunSweep(o.sweepWindow(), o.Seed)
+			s := RunSweep(o)
 			sweep = &s
 		}
 		return *sweep
@@ -138,10 +148,10 @@ func Registry() map[string]Experiment {
 
 	exps := []Experiment{
 		{"fig2", "Memory access latency from different sources", func(o Options) (Result, error) {
-			return RunFig2(o.microDuration(), o.Seed), nil
+			return RunFig2(o), nil
 		}},
 		{"fig3", "Redis latency: Alone / Co-separate / Co-hyper", func(o Options) (Result, error) {
-			return typed(RunFig3(o.microDuration()*4, o.Seed))
+			return typed(RunFig3(o))
 		}},
 		{"table1", "Candidate HPE correlation study", func(o Options) (Result, error) {
 			return Table1Result{getSweep(o)}, nil
@@ -150,7 +160,7 @@ func Registry() map[string]Experiment {
 			return Fig4Result{getSweep(o)}, nil
 		}},
 		{"fig5", "VPI effectiveness on four services", func(o Options) (Result, error) {
-			return typed(RunFig5(o.microDuration()*4, o.Seed, nil))
+			return typed(RunFig5(o, nil))
 		}},
 		{"fig11", "SLO violation ratios", func(o Options) (Result, error) {
 			return suiteFigure(o, (*Suite).renderSLOViolations, StoreNames()...)
@@ -159,7 +169,7 @@ func Registry() map[string]Experiment {
 			return suiteFigure(o, (*Suite).renderCPUUtilization, StoreNames()...)
 		}},
 		{"fig13", "VPI timeline under three settings (RocksDB)", func(o Options) (Result, error) {
-			return typed(RunFig13(o.colocDuration(), o.colocWarmup(), o.Seed, o.workers()))
+			return typed(RunFig13(o))
 		}},
 		{"table3", "Throughput comparison", func(o Options) (Result, error) {
 			s := getSuite(o)
@@ -171,17 +181,13 @@ func Registry() map[string]Experiment {
 			return SuiteResult{s, (*Suite).renderTable3}, nil
 		}},
 		{"fig14", "Threshold E sensitivity", func(o Options) (Result, error) {
-			stores := StoreNames()
-			if !o.Full {
-				stores = []string{"redis", "rocksdb"}
-			}
-			return typed(RunFig14(o.colocDuration()/2, o.colocWarmup(), o.Seed, stores, o.workers()))
+			return typed(RunFig14(o))
 		}},
 		{"table4", "Convergence speed comparison", func(o Options) (Result, error) {
-			return typed(RunTable4(o.Seed, o.workers()))
+			return typed(RunTable4(o))
 		}},
 		{"overhead", "Holmes daemon overhead", func(o Options) (Result, error) {
-			return typed(RunOverheadWith(o.colocDuration(), o.Seed, o.Telemetry))
+			return typed(RunOverhead(o))
 		}},
 		{"ablations", "Design-choice ablations (CPS metric, usage trigger, interval)", func(o Options) (Result, error) {
 			return typed(RunAblations(o))

@@ -286,32 +286,25 @@ type Fig13Result struct {
 
 // RunFig13 runs the VPI timeline for RocksDB under workload-a. The three
 // settings run as independent simulations, fanned out across up to
-// workers goroutines; each derives its seed from (seed, setting) so the
-// series are identical at any worker count. warmupNs <= 0 keeps the
-// default warmup.
-func RunFig13(durationNs, warmupNs int64, seed uint64, workers int) (Fig13Result, error) {
-	out := Fig13Result{Timelines: make([]Fig13Timeline, len(Settings()))}
-	tasks := make([]func() error, len(Settings()))
-	for i, set := range Settings() {
-		i, set := i, set
-		tasks[i] = func() error {
-			cfg := DefaultColocation("rocksdb", "a", set)
-			cfg.DurationNs = durationNs
-			if warmupNs > 0 {
-				cfg.WarmupNs = warmupNs
-			}
-			cfg.Seed = rng.DeriveSeed(seed, "fig13", string(set))
-			cfg.VPISampleNs = 50_000_000 // 50 ms samples
-			r, err := RunColocation(cfg)
-			if err != nil {
-				return err
-			}
-			out.Timelines[i] = Fig13Timeline{set, r.VPISeries}
-			return nil
-		}
+// o.Parallel goroutines; each derives its seed from (seed, setting) so
+// the series are identical at any worker count.
+func RunFig13(o Options) (Fig13Result, error) {
+	sets := Settings()
+	cfgs := make([]ColocationConfig, len(sets))
+	for i, set := range sets {
+		cfgs[i] = o.colocation("rocksdb", "a", set)
+		cfgs[i].DurationNs = o.colocDuration()
+		cfgs[i].WarmupNs = o.colocWarmup()
+		cfgs[i].Seed = rng.DeriveSeed(o.Seed, "fig13", string(set))
+		cfgs[i].VPISampleNs = 50_000_000 // 50 ms samples
 	}
-	if err := runner.Run(workers, tasks); err != nil {
+	runs, err := runColocations(o, cfgs)
+	if err != nil {
 		return Fig13Result{}, err
+	}
+	var out Fig13Result
+	for i, set := range sets {
+		out.Timelines = append(out.Timelines, Fig13Timeline{set, runs[i].VPISeries})
 	}
 	return out, nil
 }

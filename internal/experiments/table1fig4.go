@@ -24,12 +24,12 @@ type SweepResult struct {
 	Sweep microbench.Sweep
 }
 
-// RunSweep executes the measurement program. windowNs is the per-point
-// measurement window (paper: 1 s).
-func RunSweep(windowNs int64, seed uint64) SweepResult {
+// RunSweep executes the measurement program with the profile's sweep
+// window per point (paper: 1 s).
+func RunSweep(o Options) SweepResult {
 	cfg := microbench.DefaultSweepConfig()
-	cfg.WindowNs = windowNs
-	cfg.Machine.Seed = seed
+	cfg.WindowNs = o.sweepWindow()
+	cfg.Machine.Seed = o.Seed
 	return SweepResult{Sweep: microbench.RunSweep(cfg)}
 }
 

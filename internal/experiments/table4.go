@@ -6,11 +6,10 @@ import (
 	"github.com/holmes-colocation/holmes/internal/batch"
 	"github.com/holmes-colocation/holmes/internal/cgroupfs"
 	"github.com/holmes-colocation/holmes/internal/core"
-	"github.com/holmes-colocation/holmes/internal/cpuid"
 	"github.com/holmes-colocation/holmes/internal/isolation"
 	"github.com/holmes-colocation/holmes/internal/kernel"
-	"github.com/holmes-colocation/holmes/internal/machine"
 	"github.com/holmes-colocation/holmes/internal/runner"
+	"github.com/holmes-colocation/holmes/internal/telemetry"
 	"github.com/holmes-colocation/holmes/internal/trace"
 	"github.com/holmes-colocation/holmes/internal/workload"
 )
@@ -39,41 +38,35 @@ func lcSteadyCost() workload.Cost {
 	return c
 }
 
-// convergenceEnv builds the common stimulus scenario: an LC process
-// saturating the reserved CPUs, and a function that launches the
-// interfering batch job (returning its processes).
-func convergenceEnv(tickNs int64, seed uint64) (*machine.Machine, *kernel.Kernel, *cgroupfs.FS, *kernel.Process, func() *kernel.Process) {
-	mcfg := machine.DefaultConfig()
-	mcfg.Seed = seed
-	if tickNs > 0 {
-		mcfg.TickNs = tickNs
+// spawnKMeans starts a 16-thread KMeans-like batch process whose threads
+// loop on KMeans work units. attach, when non-nil, runs between the spawn
+// and the first work item (the cgroup placement a daemon discovers).
+func spawnKMeans(k *kernel.Kernel, attach func(pid int)) *kernel.Process {
+	bp := k.Spawn("kmeans", 16)
+	if attach != nil {
+		attach(bp.PID)
 	}
-	m := machine.New(mcfg)
-	k := kernel.New(m)
+	unit := batch.KMeans.UnitCost()
+	for _, th := range bp.Threads() {
+		startChain(th, unit)
+	}
+	return bp
+}
+
+// measureHolmes measures Holmes's stimulus-to-eviction delay at the given
+// invocation interval: an LC process saturates the reserved CPUs until a
+// KMeans job lands in a YARN container cgroup. tel, when non-nil, records
+// the daemon's spans.
+func measureHolmes(intervalNs int64, seed uint64, tel *telemetry.Set) (int64, error) {
+	m, k := newKernel(seed, intervalNs/2)
 	fs := cgroupfs.NewFS()
 	svc := k.Spawn("lc-service", 4)
 	for _, th := range svc.Threads() {
 		startChain(th, lcSteadyCost())
 	}
-	launchBatch := func() *kernel.Process {
-		bp := k.Spawn("kmeans", 16)
-		g, _ := fs.Mkdir("/yarn/job_1/container_0")
-		g.AddPid(bp.PID)
-		unit := batch.KMeans.UnitCost()
-		for _, th := range bp.Threads() {
-			startChain(th, unit)
-		}
-		return bp
-	}
-	return m, k, fs, svc, launchBatch
-}
-
-// measureHolmes measures Holmes's stimulus-to-eviction delay at the given
-// invocation interval.
-func measureHolmes(intervalNs int64, seed uint64) (int64, error) {
-	m, k, fs, svc, launchBatch := convergenceEnv(intervalNs/2, seed)
 	cfg := core.DefaultConfig()
 	cfg.IntervalNs = intervalNs
+	cfg.Telemetry = tel
 	d, err := core.Start(k, fs, cfg)
 	if err != nil {
 		return 0, err
@@ -90,7 +83,10 @@ func measureHolmes(intervalNs int64, seed uint64) (int64, error) {
 		return 0, fmt.Errorf("experiments: spurious eviction before stimulus")
 	}
 	start := m.Now()
-	launchBatch()
+	spawnKMeans(k, func(pid int) {
+		g, _ := fs.Mkdir("/yarn/job_1/container_0")
+		g.AddPid(pid)
+	})
 	m.RunFor(10_000_000)
 	if d.LastDeallocNs() < 0 {
 		return 0, fmt.Errorf("experiments: Holmes never reacted")
@@ -103,22 +99,13 @@ func measureHolmes(intervalNs int64, seed uint64) (int64, error) {
 // service is idle, and the scheduler must pause it the moment the service
 // becomes active.
 func measureCaladan(seed uint64) (int64, error) {
-	mcfg := machine.DefaultConfig()
-	mcfg.Seed = seed
-	mcfg.TickNs = 5_000
-	m := machine.New(mcfg)
-	k := kernel.New(m)
-	batchProc := k.Spawn("kmeans", 16)
-	unit := batch.KMeans.UnitCost()
-	for _, th := range batchProc.Threads() {
-		startChain(th, unit)
-	}
-	lcMask := cpuid.MaskOf(0, 1, 2, 3)
-	c := isolation.StartCaladan(k, lcMask, []*kernel.Process{batchProc})
+	m, k := newKernel(seed, 5_000)
+	batchProc := spawnKMeans(k, nil)
+	c := isolation.StartCaladan(k, servedCPUs, []*kernel.Process{batchProc})
 	defer c.Stop()
 	m.RunFor(5_000_000)
 	svc2 := k.Spawn("lc-service", 4)
-	if err := svc2.SetAffinity(lcMask); err != nil {
+	if err := svc2.SetAffinity(servedCPUs); err != nil {
 		return 0, err
 	}
 	c.MarkStimulus(m.Now())
@@ -135,28 +122,19 @@ func measureCaladan(seed uint64) (int64, error) {
 
 // measureFeedback measures a Heracles-like or Parties-like controller.
 func measureFeedback(cfg isolation.FeedbackConfig, horizonNs int64, seed uint64) (int64, error) {
-	mcfg := machine.DefaultConfig()
-	mcfg.Seed = seed
-	mcfg.TickNs = 1_000_000 // these loops live at 0.5-15 s epochs
-	m := machine.New(mcfg)
-	k := kernel.New(m)
-	batchProc := k.Spawn("kmeans", 16)
-	unit := batch.KMeans.UnitCost()
-	for _, th := range batchProc.Threads() {
-		startChain(th, unit)
-	}
-	lcMask := cpuid.MaskOf(0, 1, 2, 3)
+	m, k := newKernel(seed, 1_000_000) // these loops live at 0.5-15 s epochs
+	batchProc := spawnKMeans(k, nil)
 	// The latency probe models the victim: above SLO while any LC
 	// sibling hosts batch work, within it once all are evicted.
 	var f *isolation.Feedback
 	probe := func() float64 {
-		if f != nil && f.EvictedSiblings() >= lcMask.Count() {
+		if f != nil && f.EvictedSiblings() >= servedCPUs.Count() {
 			return cfg.SLONs / 2
 		}
 		return cfg.SLONs * 2.5
 	}
 	var err error
-	f, err = isolation.StartFeedback(k, cfg, probe, lcMask, []*kernel.Process{batchProc})
+	f, err = isolation.StartFeedback(k, cfg, probe, servedCPUs, []*kernel.Process{batchProc})
 	if err != nil {
 		return 0, err
 	}
@@ -172,10 +150,11 @@ func measureFeedback(cfg isolation.FeedbackConfig, horizonNs int64, seed uint64)
 
 // RunTable4 measures the convergence speed of all four approaches. The
 // three baseline measurements and the five Holmes trials are independent
-// simulations; they fan out across up to workers goroutines and are
+// simulations; they fan out across up to o.Parallel goroutines and are
 // assembled in a fixed order afterwards.
-func RunTable4(seed uint64, workers int) (Table4Result, error) {
+func RunTable4(o Options) (Table4Result, error) {
 	var out Table4Result
+	seed := o.Seed
 
 	const trials = 5
 	var her, par, cal int64
@@ -200,11 +179,11 @@ func RunTable4(seed uint64, workers int) (Table4Result, error) {
 	for i := 0; i < trials; i++ {
 		i := i
 		tasks = append(tasks, func() (err error) {
-			hols[i], err = measureHolmes(50_000, seed+uint64(i)*97)
+			hols[i], err = measureHolmes(50_000, seed+uint64(i)*97, o.Telemetry)
 			return err
 		})
 	}
-	if err := runner.Run(workers, tasks); err != nil {
+	if err := runner.Run(o.workers(), tasks); err != nil {
 		return out, err
 	}
 

@@ -10,7 +10,7 @@ import (
 // TestOverheadTelemetrySplit checks the extended §6.6 reporting: the
 // daemon-vs-telemetry split is measured, consistent, and rendered.
 func TestOverheadTelemetrySplit(t *testing.T) {
-	r, err := RunOverhead(600_000_000, 7)
+	r, err := RunOverhead(Options{Seed: 7, Scale: 0.075}) // 0.6 s measured
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,5 +69,27 @@ func TestColocationTelemetryWiring(t *testing.T) {
 	}
 	if set.Spans.Total() == 0 {
 		t.Fatal("no decision spans recorded")
+	}
+}
+
+// TestRegistryDaemonsRecordSpans pins that Options.Telemetry reaches every
+// Holmes daemon a registry experiment starts: each id below — the ones
+// with their own daemon runs, and table3 for the shared suite — records
+// decision spans into the options' set at the 100 ms window floor.
+func TestRegistryDaemonsRecordSpans(t *testing.T) {
+	skipRegistryUnderRace(t)
+	t.Parallel()
+	for _, id := range []string{"fig13", "fig14", "table4", "ablations", "overhead", "table3"} {
+		id := id
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			set := telemetry.NewSet()
+			if _, err := RunResults(Options{Seed: 1, Scale: 0.001, Telemetry: set}, []string{id}); err != nil {
+				t.Fatal(err)
+			}
+			if set.Spans.Total() == 0 {
+				t.Fatalf("%s: no spans recorded with Options.Telemetry set", id)
+			}
+		})
 	}
 }

@@ -211,7 +211,7 @@ func TestPodValidation(t *testing.T) {
 	}
 }
 
-func TestStartPropagatesHolmesConfigErrors(t *testing.T) {
+func TestStartPropagatesDaemonConfigErrors(t *testing.T) {
 	mcfg := machine.DefaultConfig()
 	mcfg.Topology = cpuid.Topology{Sockets: 1, Cores: 8}
 	m := machine.New(mcfg)

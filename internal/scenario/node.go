@@ -48,14 +48,14 @@ type NodeService struct {
 // Boot builds a node from spec and starts its clients. Spec.Seed seeds
 // the machine as given, 0 included. tel, when non-nil, receives metrics
 // from the kernel, the cgroup filesystem and the Holmes daemon, plus the
-// daemon's decision spans; holmes, when non-nil, replaces the daemon configuration
-// derived from Spec.Holmes (the daemon CPU is still the machine's last).
+// daemon's decision spans. Spec.Holmes is the one way to tune the daemon;
+// it always runs on the machine's last logical CPU.
 //
 // The construction order is part of the contract, since every component
 // shares the machine's event queue: per service store, launch,
 // generator, preload, traffic and client; then the scheduler with every
 // service registered; then the batch stream; then client start.
-func Boot(spec Spec, tel *telemetry.Set, holmes *core.Config) (*Node, error) {
+func Boot(spec Spec, tel *telemetry.Set) (*Node, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -121,7 +121,7 @@ func Boot(spec Spec, tel *telemetry.Set, holmes *core.Config) (*Node, error) {
 			client: lcservice.NewClient(svc, gen, tr)})
 	}
 
-	if err := n.startScheduler(k, fs, spec, reservedN, tel, holmes); err != nil {
+	if err := n.startScheduler(k, fs, spec, reservedN, tel); err != nil {
 		return nil, err
 	}
 	if spec.Batch != nil {
@@ -138,8 +138,7 @@ func Boot(spec Spec, tel *telemetry.Set, holmes *core.Config) (*Node, error) {
 
 // startScheduler starts the spec's CPU scheduler and registers every
 // service with it; "none" pins the services to the reserved pool.
-func (n *Node) startScheduler(k *kernel.Kernel, fs *cgroupfs.FS, spec Spec, reservedN int,
-	tel *telemetry.Set, holmes *core.Config) error {
+func (n *Node) startScheduler(k *kernel.Kernel, fs *cgroupfs.FS, spec Spec, reservedN int, tel *telemetry.Set) error {
 	var register func(pid int) error
 	switch spec.Scheduler {
 	case "holmes":
@@ -159,9 +158,6 @@ func (n *Node) startScheduler(k *kernel.Kernel, fs *cgroupfs.FS, spec Spec, rese
 			if h.TriggerMetric != "" {
 				hc.TriggerMetric = core.Metric(h.TriggerMetric)
 			}
-		}
-		if holmes != nil {
-			hc = *holmes
 		}
 		hc.DaemonCPU = n.Machine.Topology().LogicalCPUs() - 1
 		hc.Telemetry = tel

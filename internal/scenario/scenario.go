@@ -98,6 +98,9 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("scenario: unknown scheduler %q", s.Scheduler)
 	}
+	if h := s.Holmes; h != nil && (h.E < 0 || h.IntervalUs < 0 || h.QuietSeconds < 0 || h.ReservedCPUs < 0) {
+		return fmt.Errorf("scenario: holmes e, interval_us, quiet_seconds and reserved_cpus must not be negative (0 = default)")
+	}
 	if len(s.Services) == 0 {
 		return fmt.Errorf("scenario: at least one service required")
 	}
@@ -152,7 +155,7 @@ func Run(spec Spec) (*Report, error) {
 	if boot.Seed == 0 {
 		boot.Seed = machine.DefaultConfig().Seed
 	}
-	n, err := Boot(boot, nil, nil)
+	n, err := Boot(boot, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -81,6 +81,41 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
+// TestValidateHolmesSpec pins the daemon overrides' range: zero means the
+// default, a negative value is rejected rather than silently replaced by
+// the default.
+func TestValidateHolmesSpec(t *testing.T) {
+	cases := []struct {
+		name string
+		h    HolmesSpec
+		ok   bool
+	}{
+		{"all zero means defaults", HolmesSpec{}, true},
+		{"positive overrides", HolmesSpec{E: 60, IntervalUs: 50, QuietSeconds: 0.2, ReservedCPUs: 2}, true},
+		{"negative e", HolmesSpec{E: -5}, false},
+		{"negative interval", HolmesSpec{IntervalUs: -100}, false},
+		{"negative quiet period", HolmesSpec{QuietSeconds: -0.5}, false},
+		{"negative reserved cpus", HolmesSpec{ReservedCPUs: -1}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := minimalSpec()
+			spec.Holmes = &tc.h
+			err := spec.Validate()
+			if tc.ok && err != nil {
+				t.Fatalf("rejected %+v: %v", tc.h, err)
+			}
+			if !tc.ok && (err == nil || !strings.Contains(err.Error(), "must not be negative")) {
+				t.Fatalf("%+v: want a must-not-be-negative error, got %v", tc.h, err)
+			}
+		})
+	}
+	doc := `{"scheduler": "holmes", "holmes": {"e": -5}, "services": [{"store":"redis","rps":1}], "duration_seconds": 1}`
+	if _, err := Load(strings.NewReader(doc)); err == nil {
+		t.Fatal(`Load accepted "e": -5`)
+	}
+}
+
 // TestLoadReportsValidationErrors pins the parse path: Load must surface
 // Validate's message, so a bad JSON spec fails with a usable diagnostic.
 func TestLoadReportsValidationErrors(t *testing.T) {
