@@ -233,24 +233,23 @@ func (p *Pod) Finished() bool {
 	return true
 }
 
-// startChain feeds a container thread; 0 remaining means endless.
+// startChain feeds a container thread; 0 remaining means endless. The
+// item and its completion closure are built once per thread: each
+// completion pushes the same item again until the count runs out.
 func (kl *Kubelet) startChain(pod *Pod, th *kernel.Thread, unit workload.Cost, remaining int) {
 	endless := remaining <= 0
-	var push func(int64)
-	count := remaining
-	push = func(int64) {
+	var item workload.Item
+	item = workload.Item{Cost: unit, OnComplete: func(int64) {
+		pod.unitsDone++
 		if !endless {
-			count--
-			if count < 0 {
+			remaining--
+			if remaining == 0 {
 				return
 			}
 		}
-		th.HW.Push(workload.Item{Cost: unit, OnComplete: func(t int64) {
-			pod.unitsDone++
-			push(t)
-		}})
-	}
-	push(0)
+		th.HW.Push(item)
+	}}
+	th.HW.Push(item)
 }
 
 // DeletePod tears a pod down: processes exit, cgroups are removed, and —

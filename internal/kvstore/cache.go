@@ -1,6 +1,8 @@
 package kvstore
 
 import (
+	"hash/maphash"
+
 	"github.com/holmes-colocation/holmes/internal/workload"
 )
 
@@ -14,8 +16,16 @@ import (
 //
 // Entries live in one slab of slots, doubly linked by int32 indices in
 // recency order; freed slots are reused through a free list. An insert
-// allocates only when the slab adds a chunk, and the garbage collector
-// sees a few flat arrays rather than a pointer chain per entry.
+// allocates only when the slab adds a chunk or the index doubles, and
+// the garbage collector sees a few flat arrays rather than a pointer
+// chain per entry.
+//
+// The index is an open-addressing table of slot+1 values (0 is empty),
+// probed linearly and doubled at 3/4 load. Each slot keeps its key and
+// that key's hash, so the key is stored once, and growing the table or
+// deleting from it (by backward shift, with no tombstones) never hashes
+// a key again. Nothing iterates the table to produce output, so hash
+// values cannot reach it.
 //
 // It is deterministic and not safe for concurrent use; the simulation is
 // single-threaded.
@@ -23,10 +33,12 @@ type LRU[K comparable] struct {
 	capacity int64
 	used     int64
 	slots    slab[lruSlot[K]]
-	index    map[K]int32 // key -> slot
-	head     int32       // most recent slot, or nilSlot
-	tail     int32       // least recent slot, or nilSlot
-	free     int32       // first free slot (linked by next), or nilSlot
+	hash     func(K) uint64
+	table    []int32 // slot+1 per bucket, 0 = empty; len is 0 or a power of two
+	n        int     // entries
+	head     int32   // most recent slot, or nilSlot
+	tail     int32   // least recent slot, or nilSlot
+	free     int32   // first free slot (linked by next), or nilSlot
 	hits     int64
 	misses   int64
 	evicted  int64
@@ -37,28 +49,67 @@ type LRU[K comparable] struct {
 
 type lruSlot[K comparable] struct {
 	key        K
+	hash       uint64
 	size       int64
 	prev, next int32 // toward head / toward tail
 }
 
-const nilSlot = -1
+const (
+	nilSlot = -1
+	// minTable is the index's first size in buckets.
+	minTable = 16
+)
 
-// NewLRU creates an LRU with the given byte capacity. A non-positive
-// capacity yields a cache that never holds anything.
-func NewLRU[K comparable](capacity int64) *LRU[K] {
+// NewLRU creates an LRU with the given byte capacity whose index hashes
+// keys with hash. A non-positive capacity yields a cache that never
+// holds anything.
+func NewLRU[K comparable](capacity int64, hash func(K) uint64) *LRU[K] {
 	return &LRU[K]{
 		capacity: capacity,
-		index:    map[K]int32{},
+		hash:     hash,
 		head:     nilSlot,
 		tail:     nilSlot,
 		free:     nilSlot,
 	}
 }
 
+// hashSeed seeds HashString. It differs per process, which is harmless:
+// a hash only picks a bucket, and no output depends on bucket order.
+var hashSeed = maphash.MakeSeed()
+
+// HashString hashes a string key for an LRU index.
+func HashString(s string) uint64 { return maphash.String(hashSeed, s) }
+
+// HashUint64 mixes an integer key for an LRU index (the splitmix64
+// finalizer), so consecutive ids land in scattered buckets.
+func HashUint64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// find returns the slot holding key, or nilSlot.
+func (c *LRU[K]) find(key K, h uint64) int32 {
+	if len(c.table) == 0 {
+		return nilSlot
+	}
+	mask := uint64(len(c.table) - 1)
+	for b := h & mask; c.table[b] != 0; b = (b + 1) & mask {
+		i := c.table[b] - 1
+		if s := c.slots.at(i); s.hash == h && s.key == key {
+			return i
+		}
+	}
+	return nilSlot
+}
+
 // Touch records an access to key with the given size and reports whether
 // it was resident. Missing keys are inserted (which may evict).
 func (c *LRU[K]) Touch(key K, size int64) (hit bool) {
-	if i, ok := c.index[key]; ok {
+	h := c.hash(key)
+	if i := c.find(key, h); i != nilSlot {
 		c.unlink(i) // refresh before any eviction scan
 		c.pushFront(i)
 		if s := c.slots.at(i); s.size != size {
@@ -70,25 +121,24 @@ func (c *LRU[K]) Touch(key K, size int64) (hit bool) {
 		return true
 	}
 	c.misses++
-	c.insert(key, size)
+	c.insert(key, h, size)
 	return false
 }
 
 // Contains reports residency without updating recency or stats.
 func (c *LRU[K]) Contains(key K) bool {
-	_, ok := c.index[key]
-	return ok
+	return c.find(key, c.hash(key)) != nilSlot
 }
 
 // Remove evicts key explicitly (invalidation), without OnEvict.
 func (c *LRU[K]) Remove(key K) {
-	if i, ok := c.index[key]; ok {
+	if i := c.find(key, c.hash(key)); i != nilSlot {
 		c.used -= c.slots.at(i).size
 		c.release(i)
 	}
 }
 
-func (c *LRU[K]) insert(key K, size int64) {
+func (c *LRU[K]) insert(key K, h uint64, size int64) {
 	if c.capacity <= 0 || size > c.capacity {
 		return // uncacheable
 	}
@@ -99,11 +149,58 @@ func (c *LRU[K]) insert(key K, size int64) {
 		i = c.slots.add()
 	}
 	s := c.slots.at(i)
-	s.key, s.size = key, size
+	s.key, s.hash, s.size = key, h, size
 	c.pushFront(i)
-	c.index[key] = i
+	c.index(i, h)
 	c.used += size
 	c.evictIfNeeded()
+}
+
+// index adds slot i, whose key hashes to h, to the table, doubling the
+// table first if the entry would take it past 3/4 load.
+func (c *LRU[K]) index(i int32, h uint64) {
+	if (c.n+1)*4 > len(c.table)*3 {
+		old := c.table
+		c.table = make([]int32, max(minTable, 2*len(old)))
+		for _, v := range old {
+			if v != 0 {
+				c.place(v, c.slots.at(v-1).hash)
+			}
+		}
+	}
+	c.place(i+1, h)
+	c.n++
+}
+
+// place stores v in the first empty bucket at or after h's home bucket.
+func (c *LRU[K]) place(v int32, h uint64) {
+	mask := uint64(len(c.table) - 1)
+	b := h & mask
+	for c.table[b] != 0 {
+		b = (b + 1) & mask
+	}
+	c.table[b] = v
+}
+
+// unindex removes slot i from the table. Each later entry of the probe
+// run moves back into the hole unless its home bucket lies cyclically
+// between the hole and itself, so every entry stays reachable from its
+// home without tombstones.
+func (c *LRU[K]) unindex(i int32) {
+	mask := uint64(len(c.table) - 1)
+	b := c.slots.at(i).hash & mask
+	for c.table[b] != i+1 {
+		b = (b + 1) & mask
+	}
+	for j := (b + 1) & mask; c.table[j] != 0; j = (j + 1) & mask {
+		home := c.slots.at(c.table[j]-1).hash & mask
+		if (j-home)&mask >= (j-b)&mask {
+			c.table[b] = c.table[j]
+			b = j
+		}
+	}
+	c.table[b] = 0
+	c.n--
 }
 
 func (c *LRU[K]) evictIfNeeded() {
@@ -146,11 +243,12 @@ func (c *LRU[K]) unlink(i int32) {
 	}
 }
 
-// release unlinks slot i, forgets its key and puts it on the free list.
+// release unlinks slot i, drops it from the index and puts it on the
+// free list.
 func (c *LRU[K]) release(i int32) {
 	c.unlink(i)
+	c.unindex(i)
 	s := c.slots.at(i)
-	delete(c.index, s.key)
 	*s = lruSlot[K]{next: c.free} // drop the key for the GC
 	c.free = i
 }
@@ -159,7 +257,7 @@ func (c *LRU[K]) release(i int32) {
 func (c *LRU[K]) Used() int64 { return c.used }
 
 // Len returns the number of cached entries.
-func (c *LRU[K]) Len() int { return len(c.index) }
+func (c *LRU[K]) Len() int { return c.n }
 
 // Stats returns (hits, misses, evictions).
 func (c *LRU[K]) Stats() (hits, misses, evicted int64) {
@@ -177,6 +275,12 @@ type resKey struct {
 	key string
 }
 
+// hash folds the tag into the key's string hash; the odd multiplier
+// gives each tag distinct low bits.
+func (k resKey) hash() uint64 {
+	return HashString(k.key) ^ uint64(k.tag)*0x9e3779b97f4a7c15
+}
+
 // Residency is the CPU-cache residency model shared by the stores: a
 // last-level-cache-sized LRU over tagged record keys. Touching a
 // resident record costs L3 accesses; a non-resident one costs DRAM
@@ -192,7 +296,7 @@ const DefaultLLCBytes = 24 << 20
 
 // NewResidency creates a residency model with the given LLC capacity.
 func NewResidency(llcBytes int64) *Residency {
-	return &Residency{llc: NewLRU[resKey](llcBytes)}
+	return &Residency{llc: NewLRU(llcBytes, resKey.hash)}
 }
 
 // TouchRecord charges an access of size bytes to the object (tag, key),

@@ -10,7 +10,7 @@ import (
 )
 
 func TestLRUBasics(t *testing.T) {
-	c := NewLRU[string](300)
+	c := NewLRU(300, HashString)
 	if c.Touch("a", 100) {
 		t.Fatal("first touch should miss")
 	}
@@ -39,7 +39,7 @@ func TestLRUBasics(t *testing.T) {
 }
 
 func TestLRURecencyUpdates(t *testing.T) {
-	c := NewLRU[string](200)
+	c := NewLRU(200, HashString)
 	c.Touch("a", 100)
 	c.Touch("b", 100)
 	c.Touch("a", 100) // refresh a
@@ -50,7 +50,7 @@ func TestLRURecencyUpdates(t *testing.T) {
 }
 
 func TestLRUResize(t *testing.T) {
-	c := NewLRU[string](200)
+	c := NewLRU(200, HashString)
 	c.Touch("a", 100)
 	c.Touch("b", 50)
 	c.Touch("a", 180) // grows a, evicting b
@@ -63,7 +63,7 @@ func TestLRUResize(t *testing.T) {
 }
 
 func TestLRUOversizedEntry(t *testing.T) {
-	c := NewLRU[string](100)
+	c := NewLRU(100, HashString)
 	c.Touch("huge", 1000)
 	if c.Contains("huge") || c.Used() != 0 {
 		t.Fatal("oversized entry must not be cached")
@@ -71,7 +71,7 @@ func TestLRUOversizedEntry(t *testing.T) {
 }
 
 func TestLRUZeroCapacity(t *testing.T) {
-	c := NewLRU[string](0)
+	c := NewLRU(0, HashString)
 	c.Touch("a", 1)
 	if c.Contains("a") {
 		t.Fatal("zero-capacity cache cached something")
@@ -79,7 +79,7 @@ func TestLRUZeroCapacity(t *testing.T) {
 }
 
 func TestLRUOnEvict(t *testing.T) {
-	c := NewLRU[string](100)
+	c := NewLRU(100, HashString)
 	var evicted []string
 	c.OnEvict = func(key string, size int64) { evicted = append(evicted, key) }
 	c.Touch("a", 60)
@@ -102,7 +102,7 @@ func TestLRUUsedNeverExceedsCapacity(t *testing.T) {
 		Key  uint8
 		Size uint16
 	}) bool {
-		c := NewLRU[string](4096)
+		c := NewLRU(4096, HashString)
 		for _, op := range ops {
 			c.Touch(fmt.Sprintf("k%d", op.Key), int64(op.Size))
 			if c.Used() > 4096 {

@@ -1,8 +1,10 @@
 package kvstore
 
 import (
+	"bytes"
 	"container/list"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -82,59 +84,149 @@ func (c *oracleLRU) evictIfNeeded() {
 // key is resident with another size), Remove or Contains.
 type lruOp struct {
 	Kind uint8
-	Key  uint8
+	Key  uint16
 	Size uint16
 }
 
+// clusteredHash sends every key to one of the last eight buckets of any
+// table, so each probe run starts at the table's end and wraps past it,
+// and distinct keys share a hash.
+func clusteredHash(k string) uint64 { return ^uint64(0) - HashString(k)%8 }
+
+// lruOracleMismatch drives the arena LRU (indexed with hash) and the
+// container/list oracle through ops, naming keys k0..k(keys-1), and
+// describes the first step after which their observable state differs,
+// or returns "".
+func lruOracleMismatch(cap64 int64, keys int, hash func(string) uint64, ops []lruOp) string {
+	arena, oracle := NewLRU(cap64, hash), newOracleLRU(cap64)
+	var gotEv, wantEv []string
+	arena.OnEvict = func(k string, size int64) { gotEv = append(gotEv, fmt.Sprint(k, "/", size)) }
+	oracle.OnEvict = func(k string, size int64) { wantEv = append(wantEv, fmt.Sprint(k, "/", size)) }
+	for step, op := range ops {
+		seen := len(wantEv)
+		key := fmt.Sprintf("k%d", int(op.Key)%keys)
+		size := int64(op.Size%256) + 1
+		var got, want bool
+		switch op.Kind % 4 {
+		case 0, 1:
+			got, want = arena.Touch(key, size), oracle.Touch(key, size)
+		case 2:
+			arena.Remove(key)
+			oracle.Remove(key)
+		case 3:
+			_, want = oracle.entries[key]
+			got = arena.Contains(key)
+		}
+		gh, gm, ge := arena.Stats()
+		if got != want || len(gotEv) != len(wantEv) || !reflect.DeepEqual(gotEv[seen:], wantEv[seen:]) ||
+			gh != oracle.hits || gm != oracle.misses || ge != oracle.evicted ||
+			arena.Used() != oracle.used || arena.Len() != len(oracle.entries) {
+			return fmt.Sprintf("capacity %d, %d keys, step %d (%+v): result %v/%v, evictions %v/%v, stats %d,%d,%d/%d,%d,%d, used %d/%d, len %d/%d",
+				cap64, keys, step, op, got, want, gotEv[seen:], wantEv[seen:], gh, gm, ge, oracle.hits, oracle.misses, oracle.evicted,
+				arena.Used(), oracle.used, arena.Len(), len(oracle.entries))
+		}
+	}
+	return ""
+}
+
 // TestLRUMatchesOracle drives the arena LRU and the container/list
-// oracle through random Touch, resize, Remove and Contains streams over
-// a few keys and a small capacity, so nearly every step evicts, and
-// requires identical observable state after every op.
+// oracle through random Touch, resize, Remove and Contains streams and
+// requires identical observable state after every op. Two key ranges:
+// a dozen keys over a small capacity, so nearly every step evicts; and
+// thousands of keys over a capacity holding hundreds of entries, in
+// long streams, so the index grows, probe runs get long and evictions
+// delete by backward shift across the table's end (with the clustered
+// hash, on every probe run).
 func TestLRUMatchesOracle(t *testing.T) {
-	check := func(capacity uint16, ops []lruOp) bool {
-		cap64 := int64(capacity % 1024)
-		arena, oracle := NewLRU[string](cap64), newOracleLRU(cap64)
-		var gotEv, wantEv []string
-		arena.OnEvict = func(k string, size int64) { gotEv = append(gotEv, fmt.Sprint(k, "/", size)) }
-		oracle.OnEvict = func(k string, size int64) { wantEv = append(wantEv, fmt.Sprint(k, "/", size)) }
-		for step, op := range ops {
-			key := fmt.Sprintf("k%d", op.Key%12)
-			size := int64(op.Size%256) + 1
-			var got, want bool
-			switch op.Kind % 4 {
-			case 0, 1:
-				got, want = arena.Touch(key, size), oracle.Touch(key, size)
-			case 2:
-				arena.Remove(key)
-				oracle.Remove(key)
-			case 3:
-				_, want = oracle.entries[key]
-				got = arena.Contains(key)
-			}
-			gh, gm, ge := arena.Stats()
-			if got != want || !reflect.DeepEqual(gotEv, wantEv) ||
-				gh != oracle.hits || gm != oracle.misses || ge != oracle.evicted ||
-				arena.Used() != oracle.used || arena.Len() != len(oracle.entries) {
-				t.Logf("capacity %d, step %d (%+v): result %v/%v, evictions %v/%v, stats %d,%d,%d/%d,%d,%d, used %d/%d, len %d/%d",
-					cap64, step, op, got, want, gotEv, wantEv, gh, gm, ge, oracle.hits, oracle.misses, oracle.evicted,
-					arena.Used(), oracle.used, arena.Len(), len(oracle.entries))
-				return false
-			}
+	small := func(capacity uint16, ops []lruOp) bool {
+		if msg := lruOracleMismatch(int64(capacity%1024), 12, HashString, ops); msg != "" {
+			t.Log(msg)
+			return false
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(small, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+	long := func(args []reflect.Value, r *rand.Rand) {
+		args[0] = reflect.ValueOf(uint16(r.Uint32()))
+		ops := make([]lruOp, 6000)
+		for i := range ops {
+			ops[i] = lruOp{Kind: uint8(r.Uint32()), Key: uint16(r.Uint32()), Size: uint16(r.Uint32())}
+		}
+		args[1] = reflect.ValueOf(ops)
+	}
+	for _, h := range []struct {
+		name string
+		hash func(string) uint64
+	}{{"maphash", HashString}, {"clustered", clusteredHash}} {
+		large := func(capacity uint16, ops []lruOp) bool {
+			if msg := lruOracleMismatch(16<<10+int64(capacity%(48<<10)), 4000, h.hash, ops); msg != "" {
+				t.Logf("%s: %s", h.name, msg)
+				return false
+			}
+			return true
+		}
+		if err := quick.Check(large, &quick.Config{MaxCount: 12, Values: long}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
+// FuzzLRUOracle runs the oracle comparison over fuzzed op streams, four
+// bytes per op (kind, key low, key high, size). mode bit 0 picks the
+// 4,000-key range over a capacity of hundreds of entries, bit 1 the
+// clustered hash.
+func FuzzLRUOracle(f *testing.F) {
+	f.Add(uint16(300), uint8(0), []byte("\x00\x01\x00\x40\x00\x02\x00\x80\x02\x01\x00\x00\x03\x02\x00\x00"))
+	f.Add(uint16(9000), uint8(3), bytes.Repeat([]byte{0x00, 0x35, 0x07, 0x90, 0x02, 0x11, 0x03, 0x01}, 200))
+	f.Fuzz(func(t *testing.T, capacity uint16, mode uint8, data []byte) {
+		ops := make([]lruOp, len(data)/4)
+		for i := range ops {
+			b := data[4*i:]
+			ops[i] = lruOp{Kind: b[0], Key: uint16(b[1]) | uint16(b[2])<<8, Size: uint16(b[3])}
+		}
+		cap64, keys, hash := int64(capacity%1024), 12, HashString
+		if mode&1 != 0 {
+			cap64, keys = 16<<10+int64(capacity%(48<<10)), 4000
+		}
+		if mode&2 != 0 {
+			hash = clusteredHash
+		}
+		if msg := lruOracleMismatch(cap64, keys, hash, ops); msg != "" {
+			t.Fatal(msg)
+		}
+	})
+}
+
 // TestLRUAllocFreeTouch pins the allocation cost of the hot paths: an
-// LRU hit and a residency touch of a resident tagged record.
+// LRU hit, a steady-state LRU miss that evicts, and a residency touch of
+// a resident tagged record.
 func TestLRUAllocFreeTouch(t *testing.T) {
-	c := NewLRU[string](1 << 20)
+	c := NewLRU(1<<20, HashString)
 	c.Touch("k", 64)
 	if n := testing.AllocsPerRun(100, func() { c.Touch("k", 64) }); n != 0 {
 		t.Errorf("LRU.Touch hit allocates %v times", n)
+	}
+	// A miss that evicts reuses the evicted slot and leaves the index's
+	// load where it was: 1000 keys cycled through room for 100.
+	names := make([]string, 1000)
+	for i := range names {
+		names[i] = fmt.Sprint("key", i)
+	}
+	ev := NewLRU(100*64, HashString)
+	for _, k := range names {
+		ev.Touch(k, 64)
+	}
+	next := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		ev.Touch(names[next%len(names)], 64)
+		next++
+	}); n != 0 {
+		t.Errorf("LRU.Touch miss that evicts allocates %v times", n)
+	}
+	if _, _, evicted := ev.Stats(); evicted < 1000 {
+		t.Fatalf("only %d evictions; every timed touch should evict", evicted)
 	}
 	r := NewResidency(1 << 20)
 	key := fmt.Sprint("user", 42)

@@ -78,7 +78,7 @@ func New(cfg Config) *Store {
 	return &Store{
 		cfg:        cfg,
 		mem:        kvstore.NewSkiplist(cfg.Seed),
-		blockCache: kvstore.NewLRU[blockID](cfg.BlockCacheBytes),
+		blockCache: kvstore.NewLRU(cfg.BlockCacheBytes, blockID.hash),
 		res:        kvstore.NewResidency(cfg.LLCBytes),
 	}
 }
@@ -161,6 +161,11 @@ func (s *Store) memtableCost(write bool) workload.Cost {
 type blockID struct {
 	sst   int64
 	block int32
+}
+
+// hash keys the block cache's index.
+func (b blockID) hash() uint64 {
+	return kvstore.HashUint64(uint64(b.sst)<<32 ^ uint64(uint32(b.block)))
 }
 
 // Residency tags: memtable records, table records and cached blocks are

@@ -67,7 +67,7 @@ func New(cfg Config) *Store {
 	s := &Store{
 		cfg:   cfg,
 		tree:  newBtree(cfg.LeafPageBytes, cfg.InnerFanout),
-		cache: kvstore.NewLRU[int64](cfg.CacheBytes),
+		cache: kvstore.NewLRU(cfg.CacheBytes, func(id int64) uint64 { return kvstore.HashUint64(uint64(id)) }),
 		res:   kvstore.NewResidency(cfg.LLCBytes),
 	}
 	s.cache.OnEvict = func(id int64, size int64) {

@@ -495,3 +495,34 @@ func TestStoreHeavyWorkCounts(t *testing.T) {
 		t.Fatalf("stores should not add memory stalls, got %v", c.StallsMemAny)
 	}
 }
+
+// TestChainedQueueStaysSmall drives the pattern of every batch container
+// thread: each item's OnComplete pushes the next. The pop that takes an
+// item drains the queue, so the next push reuses slot 0 and the backing
+// array stays at its first size instead of growing to the compaction
+// threshold.
+func TestChainedQueueStaysSmall(t *testing.T) {
+	m, p := newTestMachine()
+	th := m.NewThread("chain", nil)
+	p.threads[0] = th
+	const units = 10_000
+	done, maxCap := 0, 0
+	var item workload.Item
+	item = workload.Item{Cost: workload.Compute(20_000), OnComplete: func(int64) {
+		done++
+		maxCap = max(maxCap, cap(th.queue))
+		if done < units {
+			th.Push(item)
+		}
+	}}
+	th.Push(item)
+	for i := 0; done < units && i < 1000; i++ {
+		m.RunFor(10_000_000)
+	}
+	if done != units || th.CompletedItems != units {
+		t.Fatalf("completed %d units (thread counts %d), want %d", done, th.CompletedItems, units)
+	}
+	if maxCap > 4 || cap(th.queue) > 4 {
+		t.Fatalf("chained queue capacity reached %d (now %d), want at most 4", maxCap, cap(th.queue))
+	}
+}

@@ -55,8 +55,9 @@ type Thread struct {
 	listener ThreadListener
 	state    ThreadState
 
-	// FIFO of pending items; cur is the item in progress with rem the
-	// remaining base cost.
+	// FIFO of pending items queue[head:]; cur is the item in progress
+	// with rem the remaining base cost. Invariant: head < len(queue), or
+	// the queue is empty with head == 0.
 	queue  []workload.Item
 	head   int
 	cur    workload.Item
@@ -135,15 +136,19 @@ func (t *Thread) nextItem() bool {
 	if t.curSet {
 		return true
 	}
-	if t.head >= len(t.queue) {
-		// Reset the drained backing slice so it can be reused.
-		t.queue = t.queue[:0]
-		t.head = 0
+	if len(t.queue) == 0 {
 		return false
 	}
 	t.cur = t.queue[t.head]
 	t.queue[t.head] = workload.Item{} // release references
 	t.head++
+	if t.head == len(t.queue) {
+		// Reset the drained backing slice at the pop that drains it, so
+		// a chain whose OnComplete pushes the next item reuses slot 0
+		// instead of appending until the compaction below.
+		t.queue = t.queue[:0]
+		t.head = 0
+	}
 	t.curSet = true
 	t.rem = t.cur.Cost
 	// OR-fold instead of an array compare: zero iff every count is zero

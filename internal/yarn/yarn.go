@@ -170,18 +170,25 @@ func (nm *NodeManager) launchContainer(job *Job, index int) *Container {
 	return c
 }
 
-// startChain pushes work unit chains onto a thread.
+// startChain pushes a chain of remaining work units onto a thread. The
+// item and its completion closure are built once per thread: each
+// completion pushes the same item again, and the last one reports the
+// thread done.
 func (nm *NodeManager) startChain(c *Container, th *kernel.Thread, unit workload.Cost, remaining int) {
 	if remaining <= 0 {
 		nm.threadDone(c)
 		return
 	}
-	th.HW.Push(workload.Item{
-		Cost: unit,
-		OnComplete: func(nowNs int64) {
-			nm.startChain(c, th, unit, remaining-1)
-		},
-	})
+	var item workload.Item
+	item = workload.Item{Cost: unit, OnComplete: func(int64) {
+		remaining--
+		if remaining == 0 {
+			nm.threadDone(c)
+			return
+		}
+		th.HW.Push(item)
+	}}
+	th.HW.Push(item)
 }
 
 // threadDone tracks container and job completion.
