@@ -15,7 +15,6 @@ import (
 	"github.com/holmes-colocation/holmes/internal/cgroupfs"
 	"github.com/holmes-colocation/holmes/internal/kernel"
 	"github.com/holmes-colocation/holmes/internal/kubelite"
-	"github.com/holmes-colocation/holmes/internal/kvstore/redis"
 	"github.com/holmes-colocation/holmes/internal/lcservice"
 	"github.com/holmes-colocation/holmes/internal/machine"
 	"github.com/holmes-colocation/holmes/internal/ycsb"
@@ -32,12 +31,13 @@ func main() {
 	}
 
 	// A Guaranteed pod: the Redis cache, admitted through the kubelet.
-	store := redis.New(redis.DefaultConfig())
+	store, gen, err := lcservice.Preload{
+		Store: "redis", StoreSeed: 1, Workload: ycsb.WorkloadA, Records: 30_000, GenSeed: 1,
+	}.Load()
+	if err != nil {
+		fail(err)
+	}
 	svc := lcservice.Launch(k, store, lcservice.DefaultConfigFor("redis"))
-	gcfg := ycsb.DefaultConfig(ycsb.WorkloadA)
-	gcfg.RecordCount = 30_000
-	gen := ycsb.NewGenerator(gcfg)
-	svc.Load(gen)
 	if _, err := kl.RunServicePod("redis-cache", svc.Process()); err != nil {
 		fail(err)
 	}

@@ -246,24 +246,25 @@ func (n *Node) PlaceService(ss ServiceSpec) error {
 	if _, dup := n.services[ss.Name]; dup {
 		return fmt.Errorf("cluster: node %d already runs service %s", n.ID, ss.Name)
 	}
-	store, err := lcservice.NewStore(ss.Store, rng.DeriveSeed(n.seed, "svc-store", ss.Name))
-	if err != nil {
-		return err
-	}
-	svc := lcservice.Launch(n.k, store, lcservice.DefaultConfigFor(ss.Store))
 	wl, err := ycsb.ByName(orDefault(ss.Workload, "a"))
 	if err != nil {
 		return err
 	}
-	gcfg := ycsb.DefaultConfig(wl)
-	gcfg.RecordCount = ss.RecordCount
-	if gcfg.RecordCount == 0 {
-		gcfg.RecordCount = 20_000
+	records := ss.RecordCount
+	if records == 0 {
+		records = 20_000
 	}
-	gcfg.Seed = rng.DeriveSeed(n.seed, "svc-gen", ss.Name)
-	gen := ycsb.NewGenerator(gcfg)
-	svc.Load(gen)
-
+	store, gen, err := lcservice.Preload{
+		Store:     ss.Store,
+		StoreSeed: rng.DeriveSeed(n.seed, "svc-store", ss.Name),
+		Workload:  wl,
+		Records:   records,
+		GenSeed:   rng.DeriveSeed(n.seed, "svc-gen", ss.Name),
+	}.Load()
+	if err != nil {
+		return err
+	}
+	svc := lcservice.Launch(n.k, store, lcservice.DefaultConfigFor(ss.Store))
 	if _, err := n.kl.RunServicePod(ss.Name, svc.Process()); err != nil {
 		return err
 	}
@@ -276,29 +277,34 @@ func (n *Node) PlaceService(ss ServiceSpec) error {
 	return nil
 }
 
+// replicaPreload names the preloaded store every replica of a replicated
+// (traffic-driven) service starts from. Its seeds derive from the cluster
+// seed and the service name, not the replica name, so every replica
+// holds an identical working set wherever and whenever it boots.
+func replicaPreload(seed uint64, rs scenario.ReplicatedService) (lcservice.Preload, error) {
+	wl, err := ycsb.ByName(rs.WorkloadName())
+	if err != nil {
+		return lcservice.Preload{}, err
+	}
+	return lcservice.Preload{
+		Store:     rs.Store,
+		StoreSeed: rng.DeriveSeed(seed, "replica-store", rs.Name),
+		Workload:  wl,
+		Records:   rs.Records(),
+		GenSeed:   rng.DeriveSeed(seed, "replica-gen", rs.Name),
+	}, nil
+}
+
 // PlaceReplica launches one replica of a replicated (traffic-driven)
-// service: the same store + lcservice + Guaranteed pod path as
-// PlaceService, but with no closed-loop client — the load-balancer tier
-// submits its requests. Store and load seeds derive from the service
-// name (not the replica name), so every replica holds an identical
-// preloaded working set wherever and whenever it boots.
-func (n *Node) PlaceReplica(name, service string, rs scenario.ReplicatedService) error {
+// service around store, which the caller preloaded from the service's
+// replicaPreload (a fresh load or a clone of one). It takes the same
+// lcservice + Guaranteed pod path as PlaceService, but with no
+// closed-loop client: the load-balancer tier submits its requests.
+func (n *Node) PlaceReplica(name string, rs scenario.ReplicatedService, store kvstore.Store) error {
 	if _, dup := n.services[name]; dup {
 		return fmt.Errorf("cluster: node %d already runs replica %s", n.ID, name)
 	}
-	store, err := lcservice.NewStore(rs.Store, rng.DeriveSeed(n.seed, "replica-store", service))
-	if err != nil {
-		return err
-	}
 	svc := lcservice.Launch(n.k, store, lcservice.DefaultConfigFor(rs.Store))
-	wl, err := ycsb.ByName(rs.WorkloadName())
-	if err != nil {
-		return err
-	}
-	gcfg := ycsb.DefaultConfig(wl)
-	gcfg.RecordCount = rs.Records()
-	gcfg.Seed = rng.DeriveSeed(n.seed, "replica-gen", service)
-	svc.Load(ycsb.NewGenerator(gcfg))
 	if _, err := n.kl.RunServicePod(name, svc.Process()); err != nil {
 		return err
 	}

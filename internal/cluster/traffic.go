@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/holmes-colocation/holmes/internal/kvstore"
 	"github.com/holmes-colocation/holmes/internal/lcservice"
 	"github.com/holmes-colocation/holmes/internal/obs"
 	"github.com/holmes-colocation/holmes/internal/rng"
@@ -80,6 +81,13 @@ type trafficService struct {
 	replicas map[string]*trafficReplica
 	nextIdx  int
 	pending  int // replica pods queued but not yet placed
+
+	// boot names the preloaded store every replica starts from. image,
+	// when set, is a pristine load of it that replicas pending at the
+	// same time are cloned from; the last of them takes the image
+	// itself, so an image never outlives the pending replicas.
+	boot  lcservice.Preload
+	image kvstore.Store
 
 	// Request-path resilience (zero-valued and inert without a
 	// ResilienceSpec on the service).
@@ -240,8 +248,13 @@ func newTrafficController(spec Spec, tracer *runTracer, p *obs.Plane, hbNs int64
 		if err != nil {
 			return nil, err
 		}
+		boot, err := replicaPreload(spec.Seed, rs)
+		if err != nil {
+			return nil, err
+		}
 		ts := &trafficService{
 			spec:     rs,
+			boot:     boot,
 			prog:     prog,
 			proc:     traffic.NewProcess(prog, rng.DeriveSeed(seed, "arrivals")),
 			gen:      gen,
@@ -308,7 +321,11 @@ func (tc *trafficController) initialPods() []*pendingPod {
 func (tc *trafficController) place(p *pendingPod, target int, n *Node) error {
 	rep := p.rep
 	ts := rep.ts
-	if err := n.PlaceReplica(rep.name, ts.spec.Name, ts.spec); err != nil {
+	store, err := ts.replicaStore()
+	if err != nil {
+		return err
+	}
+	if err := n.PlaceReplica(rep.name, ts.spec, store); err != nil {
 		return err
 	}
 	rep.node = target
@@ -326,8 +343,37 @@ func (tc *trafficController) place(p *pendingPod, target int, n *Node) error {
 // placementFailed drops a replica pod that exhausted its placement
 // retries; the autoscaler or the min-replica floor will requeue demand.
 func (tc *trafficController) placementFailed(p *pendingPod) {
-	p.rep.ts.pending--
-	p.rep.ts.failedPlacements++
+	ts := p.rep.ts
+	ts.pending--
+	ts.failedPlacements++
+	if ts.pending == 0 {
+		ts.image = nil
+	}
+}
+
+// replicaStore returns the preloaded store for a replica being placed,
+// one of ts.pending. While other replicas are pending too, it hands out
+// a clone of the service's image, loading the image first if there is
+// none. The last pending replica takes the image itself, or loads its
+// own store when there is no image, so a lone re-boot preloads exactly
+// as a first boot does.
+func (ts *trafficService) replicaStore() (kvstore.Store, error) {
+	if ts.pending > 1 {
+		if ts.image == nil {
+			img, _, err := ts.boot.Load()
+			if err != nil {
+				return nil, err
+			}
+			ts.image = img
+		}
+		return ts.image.Clone(), nil
+	}
+	if img := ts.image; img != nil {
+		ts.image = nil
+		return img, nil
+	}
+	store, _, err := ts.boot.Load()
+	return store, err
 }
 
 // keepsReplica reports whether the control plane still books a replica

@@ -107,16 +107,13 @@ type servedNode struct {
 
 func newServedNode(store string, seed uint64) (*servedNode, error) {
 	m, k := newKernel(seed, 0)
-	st, err := lcservice.NewStore(store, seed)
+	st, gen, err := lcservice.Preload{
+		Store: store, StoreSeed: seed, Workload: ycsb.WorkloadA, Records: 50_000, GenSeed: seed + 17,
+	}.Load()
 	if err != nil {
 		return nil, err
 	}
 	svc := lcservice.Launch(k, st, lcservice.DefaultConfigFor(store))
-	gcfg := ycsb.DefaultConfig(ycsb.WorkloadA)
-	gcfg.RecordCount = 50_000
-	gcfg.Seed = seed + 17
-	gen := ycsb.NewGenerator(gcfg)
-	svc.Load(gen)
 	if err := svc.Process().SetAffinity(servedCPUs); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"hash/maphash"
+	"slices"
 
 	"github.com/holmes-colocation/holmes/internal/workload"
 )
@@ -32,7 +33,7 @@ import (
 type LRU[K comparable] struct {
 	capacity int64
 	used     int64
-	slots    slab[lruSlot[K]]
+	slots    Slab[lruSlot[K]]
 	hash     func(K) uint64
 	table    []int32 // slot+1 per bucket, 0 = empty; len is 0 or a power of two
 	n        int     // entries
@@ -98,7 +99,7 @@ func (c *LRU[K]) find(key K, h uint64) int32 {
 	mask := uint64(len(c.table) - 1)
 	for b := h & mask; c.table[b] != 0; b = (b + 1) & mask {
 		i := c.table[b] - 1
-		if s := c.slots.at(i); s.hash == h && s.key == key {
+		if s := c.slots.At(i); s.hash == h && s.key == key {
 			return i
 		}
 	}
@@ -112,7 +113,7 @@ func (c *LRU[K]) Touch(key K, size int64) (hit bool) {
 	if i := c.find(key, h); i != nilSlot {
 		c.unlink(i) // refresh before any eviction scan
 		c.pushFront(i)
-		if s := c.slots.at(i); s.size != size {
+		if s := c.slots.At(i); s.size != size {
 			c.used += size - s.size
 			s.size = size
 			c.evictIfNeeded()
@@ -133,7 +134,7 @@ func (c *LRU[K]) Contains(key K) bool {
 // Remove evicts key explicitly (invalidation), without OnEvict.
 func (c *LRU[K]) Remove(key K) {
 	if i := c.find(key, c.hash(key)); i != nilSlot {
-		c.used -= c.slots.at(i).size
+		c.used -= c.slots.At(i).size
 		c.release(i)
 	}
 }
@@ -144,11 +145,11 @@ func (c *LRU[K]) insert(key K, h uint64, size int64) {
 	}
 	i := c.free
 	if i != nilSlot {
-		c.free = c.slots.at(i).next
+		c.free = c.slots.At(i).next
 	} else {
-		i = c.slots.add()
+		i = c.slots.Add()
 	}
-	s := c.slots.at(i)
+	s := c.slots.At(i)
 	s.key, s.hash, s.size = key, h, size
 	c.pushFront(i)
 	c.index(i, h)
@@ -164,7 +165,7 @@ func (c *LRU[K]) index(i int32, h uint64) {
 		c.table = make([]int32, max(minTable, 2*len(old)))
 		for _, v := range old {
 			if v != 0 {
-				c.place(v, c.slots.at(v-1).hash)
+				c.place(v, c.slots.At(v-1).hash)
 			}
 		}
 	}
@@ -188,12 +189,12 @@ func (c *LRU[K]) place(v int32, h uint64) {
 // home without tombstones.
 func (c *LRU[K]) unindex(i int32) {
 	mask := uint64(len(c.table) - 1)
-	b := c.slots.at(i).hash & mask
+	b := c.slots.At(i).hash & mask
 	for c.table[b] != i+1 {
 		b = (b + 1) & mask
 	}
 	for j := (b + 1) & mask; c.table[j] != 0; j = (j + 1) & mask {
-		home := c.slots.at(c.table[j]-1).hash & mask
+		home := c.slots.At(c.table[j]-1).hash & mask
 		if (j-home)&mask >= (j-b)&mask {
 			c.table[b] = c.table[j]
 			b = j
@@ -206,7 +207,7 @@ func (c *LRU[K]) unindex(i int32) {
 func (c *LRU[K]) evictIfNeeded() {
 	for c.used > c.capacity && c.tail != nilSlot {
 		i := c.tail
-		key, size := c.slots.at(i).key, c.slots.at(i).size
+		key, size := c.slots.At(i).key, c.slots.At(i).size
 		c.used -= size
 		c.release(i)
 		c.evicted++
@@ -218,10 +219,10 @@ func (c *LRU[K]) evictIfNeeded() {
 
 // pushFront links slot i in as the most recent entry.
 func (c *LRU[K]) pushFront(i int32) {
-	s := c.slots.at(i)
+	s := c.slots.At(i)
 	s.prev, s.next = nilSlot, c.head
 	if c.head != nilSlot {
-		c.slots.at(c.head).prev = i
+		c.slots.At(c.head).prev = i
 	} else {
 		c.tail = i
 	}
@@ -230,14 +231,14 @@ func (c *LRU[K]) pushFront(i int32) {
 
 // unlink takes slot i out of the recency list.
 func (c *LRU[K]) unlink(i int32) {
-	s := c.slots.at(i)
+	s := c.slots.At(i)
 	if s.prev != nilSlot {
-		c.slots.at(s.prev).next = s.next
+		c.slots.At(s.prev).next = s.next
 	} else {
 		c.head = s.next
 	}
 	if s.next != nilSlot {
-		c.slots.at(s.next).prev = s.prev
+		c.slots.At(s.next).prev = s.prev
 	} else {
 		c.tail = s.prev
 	}
@@ -248,9 +249,21 @@ func (c *LRU[K]) unlink(i int32) {
 func (c *LRU[K]) release(i int32) {
 	c.unlink(i)
 	c.unindex(i)
-	s := c.slots.at(i)
+	s := c.slots.At(i)
 	*s = lruSlot[K]{next: c.free} // drop the key for the GC
 	c.free = i
+}
+
+// Clone returns an independent copy of the cache: its entries, recency
+// order, index and stats. Keys are copied by value. OnEvict is not
+// copied: a callback bound to the original's owner would act on the
+// wrong state, so the clone's owner binds its own.
+func (c *LRU[K]) Clone() *LRU[K] {
+	d := *c
+	d.slots = c.slots.Clone()
+	d.table = slices.Clone(c.table)
+	d.OnEvict = nil
+	return &d
 }
 
 // Used returns the bytes currently cached.
@@ -298,6 +311,9 @@ const DefaultLLCBytes = 24 << 20
 func NewResidency(llcBytes int64) *Residency {
 	return &Residency{llc: NewLRU(llcBytes, resKey.hash)}
 }
+
+// Clone returns an independent copy of the residency model.
+func (r *Residency) Clone() *Residency { return &Residency{llc: r.llc.Clone()} }
 
 // TouchRecord charges an access of size bytes to the object (tag, key),
 // returning the access cost at the appropriate hierarchy level. Keys

@@ -109,6 +109,14 @@ type Store interface {
 	Scan(start string, count int) Result
 	// Len returns the number of records.
 	Len() int
+	// Clone returns an independent copy of the store. Everything an
+	// operation can change is copied: the data and its indexes, the
+	// cache and residency models, random-generator states, pending
+	// background work and counters. The clone and the original then
+	// answer the same operations with the same Results, and neither sees
+	// the other's writes. Keys and values are shared, which is safe
+	// because values are read-only.
+	Clone() Store
 }
 
 // Backgrounder is implemented by stores with background maintenance

@@ -32,6 +32,31 @@ func newDict() *dict {
 	}
 }
 
+// clone returns an independent copy of the table, mid-rehash included.
+// Each bucket's chain keeps its order, so lookups walk the same steps.
+// The copied entries share one allocation.
+func (d *dict) clone() *dict {
+	c := *d
+	entries := make([]dictEntry, d.Len())
+	for t, table := range d.tables {
+		if table == nil {
+			continue
+		}
+		c.tables[t] = make([]*dictEntry, len(table))
+		for i, e := range table {
+			link := &c.tables[t][i]
+			for ; e != nil; e = e.next {
+				n := &entries[0]
+				entries = entries[1:]
+				n.key, n.value = e.key, e.value
+				*link = n
+				link = &n.next
+			}
+		}
+	}
+	return &c
+}
+
 // Len returns the number of stored keys.
 func (d *dict) Len() int { return d.used[0] + d.used[1] }
 

@@ -7,6 +7,8 @@
 package redis
 
 import (
+	"slices"
+
 	"github.com/holmes-colocation/holmes/internal/kvstore"
 	"github.com/holmes-colocation/holmes/internal/workload"
 )
@@ -55,6 +57,16 @@ func New(cfg Config) *Store {
 		index: kvstore.NewSkiplist(cfg.Seed),
 		res:   kvstore.NewResidency(cfg.LLCBytes),
 	}
+}
+
+// Clone implements kvstore.Store.
+func (s *Store) Clone() kvstore.Store {
+	c := *s
+	c.d = s.d.clone()
+	c.index = s.index.Clone()
+	c.res = s.res.Clone()
+	c.bg = slices.Clone(s.bg)
+	return &c
 }
 
 // Name implements kvstore.Store.

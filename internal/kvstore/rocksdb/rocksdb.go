@@ -8,6 +8,7 @@ package rocksdb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/holmes-colocation/holmes/internal/kvstore"
@@ -81,6 +82,20 @@ func New(cfg Config) *Store {
 		blockCache: kvstore.NewLRU(cfg.BlockCacheBytes, blockID.hash),
 		res:        kvstore.NewResidency(cfg.LLCBytes),
 	}
+}
+
+// Clone implements kvstore.Store. The sstables are immutable, so the
+// clone's level slices point at the same tables.
+func (s *Store) Clone() kvstore.Store {
+	c := *s
+	c.mem = s.mem.Clone()
+	for l := range s.levels {
+		c.levels[l] = slices.Clone(s.levels[l])
+	}
+	c.blockCache = s.blockCache.Clone()
+	c.res = s.res.Clone()
+	c.bg = slices.Clone(s.bg)
+	return &c
 }
 
 // Name implements kvstore.Store.

@@ -1,6 +1,8 @@
 package kvstore
 
 import (
+	"slices"
+
 	"github.com/holmes-colocation/holmes/internal/rng"
 )
 
@@ -15,7 +17,7 @@ import (
 // list per height, so a node allocates only when the slab adds a chunk
 // or the tower slice grows.
 type Skiplist struct {
-	nodes  slab[skipNode]
+	nodes  Slab[skipNode]
 	tower  []int32 // forward links: node n's level i is tower[n.tower+i]
 	free   [skipMaxLevel]int32
 	level  int
@@ -44,10 +46,22 @@ func NewSkiplist(seed uint64) *Skiplist {
 // Reset empties the skiplist and reseeds it as NewSkiplist(seed) would,
 // keeping its memory for the next fill (a flushed memtable's successor).
 func (s *Skiplist) Reset(seed uint64) {
-	s.nodes.reset()
-	s.nodes.add() // the head, with the first skipMaxLevel links
+	s.nodes.Reset()
+	s.nodes.Add() // the head, with the first skipMaxLevel links
 	s.tower = append(s.tower[:0], make([]int32, skipMaxLevel)...)
 	*s = Skiplist{nodes: s.nodes, tower: s.tower, level: 1, src: rng.New(seed)}
+}
+
+// Clone returns an independent copy of the skiplist: its nodes, links,
+// free lists and the state of its tower-height generator, so the clone
+// grows exactly as the original would. Keys and values are shared.
+func (s *Skiplist) Clone() *Skiplist {
+	c := *s
+	c.nodes = s.nodes.Clone()
+	c.tower = slices.Clone(s.tower)
+	src := *s.src
+	c.src = &src
+	return &c
 }
 
 // Len returns the number of entries.
@@ -65,7 +79,7 @@ func (s *Skiplist) randomLevel() int {
 }
 
 // next returns node n's successor at level i (0 = none).
-func (s *Skiplist) next(n int32, i int) int32 { return s.tower[s.nodes.at(n).tower+int32(i)] }
+func (s *Skiplist) next(n int32, i int) int32 { return s.tower[s.nodes.At(n).tower+int32(i)] }
 
 // findPredecessors fills update with the rightmost node before key at each
 // level and returns the candidate node (which may equal key), 0 if none.
@@ -73,7 +87,7 @@ func (s *Skiplist) findPredecessors(key string, update *[skipMaxLevel]int32) int
 	s.searchSteps = 0
 	x := int32(0)
 	for i := s.level - 1; i >= 0; i-- {
-		for nx := s.next(x, i); nx != 0 && s.nodes.at(nx).key < key; nx = s.next(x, i) {
+		for nx := s.next(x, i); nx != 0 && s.nodes.At(nx).key < key; nx = s.next(x, i) {
 			x = nx
 			s.searchSteps++
 		}
@@ -86,7 +100,7 @@ func (s *Skiplist) findPredecessors(key string, update *[skipMaxLevel]int32) int
 func (s *Skiplist) Set(key string, value []byte) bool {
 	var update [skipMaxLevel]int32
 	cand := s.findPredecessors(key, &update)
-	if c := s.nodes.at(cand); cand != 0 && c.key == key {
+	if c := s.nodes.At(cand); cand != 0 && c.key == key {
 		c.value = value
 		return false
 	}
@@ -98,10 +112,10 @@ func (s *Skiplist) Set(key string, value []byte) bool {
 		s.level = lvl
 	}
 	n := s.alloc(lvl)
-	node := s.nodes.at(n)
+	node := s.nodes.At(n)
 	node.key, node.value = key, value
 	for i := 0; i < lvl; i++ {
-		p := s.nodes.at(update[i]).tower + int32(i)
+		p := s.nodes.At(update[i]).tower + int32(i)
 		s.tower[node.tower+int32(i)] = s.tower[p]
 		s.tower[p] = n
 	}
@@ -114,11 +128,11 @@ func (s *Skiplist) Set(key string, value []byte) bool {
 // all of them.
 func (s *Skiplist) alloc(lvl int) int32 {
 	if n := s.free[lvl-1]; n != 0 {
-		s.free[lvl-1] = s.tower[s.nodes.at(n).tower]
+		s.free[lvl-1] = s.tower[s.nodes.At(n).tower]
 		return n
 	}
-	n := s.nodes.add()
-	s.nodes.at(n).tower = int32(len(s.tower))
+	n := s.nodes.Add()
+	s.nodes.At(n).tower = int32(len(s.tower))
 	s.tower = append(s.tower, make([]int32, lvl)...)
 	return n
 }
@@ -127,7 +141,7 @@ func (s *Skiplist) alloc(lvl int) int32 {
 func (s *Skiplist) Get(key string) ([]byte, bool) {
 	var update [skipMaxLevel]int32
 	cand := s.findPredecessors(key, &update)
-	if c := s.nodes.at(cand); cand != 0 && c.key == key {
+	if c := s.nodes.At(cand); cand != 0 && c.key == key {
 		return c.value, true
 	}
 	return nil, false
@@ -137,13 +151,13 @@ func (s *Skiplist) Get(key string) ([]byte, bool) {
 func (s *Skiplist) Delete(key string) bool {
 	var update [skipMaxLevel]int32
 	cand := s.findPredecessors(key, &update)
-	c := s.nodes.at(cand)
+	c := s.nodes.At(cand)
 	if cand == 0 || c.key != key {
 		return false
 	}
 	lvl := 0
 	for i := 0; i < s.level; i++ {
-		if p := s.nodes.at(update[i]).tower + int32(i); s.tower[p] == cand {
+		if p := s.nodes.At(update[i]).tower + int32(i); s.tower[p] == cand {
 			s.tower[p] = s.next(cand, i)
 			lvl = i + 1
 		}
@@ -167,7 +181,7 @@ func (s *Skiplist) Seek(start string, count int, fn func(key string, value []byt
 	n := s.findPredecessors(start, &update)
 	visited := 0
 	for n != 0 && visited < count {
-		if node := s.nodes.at(n); !fn(node.key, node.value) {
+		if node := s.nodes.At(n); !fn(node.key, node.value) {
 			visited++
 			break
 		}
@@ -181,12 +195,12 @@ func (s *Skiplist) Seek(start string, count int, fn func(key string, value []byt
 // All calls fn for every entry in key order (used by memtable flush).
 func (s *Skiplist) All(fn func(key string, value []byte)) {
 	for n := s.next(0, 0); n != 0; n = s.next(n, 0) {
-		node := s.nodes.at(n)
+		node := s.nodes.At(n)
 		fn(node.key, node.value)
 	}
 }
 
 // Min returns the smallest key, or "" when empty.
 func (s *Skiplist) Min() string {
-	return s.nodes.at(s.next(0, 0)).key // the head's key is ""
+	return s.nodes.At(s.next(0, 0)).key // the head's key is ""
 }

@@ -1,11 +1,12 @@
 package kvstore
 
-// slab is a growable array that never moves its elements: it grows one
+// Slab is a growable array that never moves its elements: it grows one
 // fixed-size chunk at a time, so filling it to n elements allocates
 // about n elements once and copies nothing. A slice filled by append
 // instead allocates and copies its large backing array several times
-// over, and keeps up to twice the memory it needs.
-type slab[E any] struct {
+// over, and keeps up to twice the memory it needs. The zero value is an
+// empty slab.
+type Slab[E any] struct {
 	chunks [][]E
 	n      int32
 }
@@ -15,11 +16,11 @@ const (
 	slabChunk = 1 << slabShift
 )
 
-// at returns element i, which must have been added since the last reset.
-func (s *slab[E]) at(i int32) *E { return &s.chunks[i>>slabShift][i&(slabChunk-1)] }
+// At returns element i, which must have been added since the last reset.
+func (s *Slab[E]) At(i int32) *E { return &s.chunks[i>>slabShift][i&(slabChunk-1)] }
 
-// add appends a zero element and returns its index.
-func (s *slab[E]) add() int32 {
+// Add appends a zero element and returns its index.
+func (s *Slab[E]) Add() int32 {
 	if int(s.n>>slabShift) == len(s.chunks) {
 		s.chunks = append(s.chunks, make([]E, slabChunk))
 	}
@@ -27,11 +28,22 @@ func (s *slab[E]) add() int32 {
 	return s.n - 1
 }
 
-// reset empties the slab, keeping its chunks for reuse. Elements added
+// Reset empties the slab, keeping its chunks for reuse. Elements added
 // after a reset start zeroed.
-func (s *slab[E]) reset() {
+func (s *Slab[E]) Reset() {
 	for _, c := range s.chunks {
 		clear(c)
 	}
 	s.n = 0
+}
+
+// Clone returns a copy of the slab that shares no chunk with it. The
+// elements are copied by value, so whatever they point to is shared.
+// Chunks past the last element are zero and are not copied.
+func (s *Slab[E]) Clone() Slab[E] {
+	c := Slab[E]{chunks: make([][]E, (s.n+slabChunk-1)>>slabShift), n: s.n}
+	for i := range c.chunks {
+		c.chunks[i] = append(make([]E, 0, slabChunk), s.chunks[i]...)
+	}
+	return c
 }

@@ -1,6 +1,9 @@
 package wiredtiger
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // node is a B+tree node. Inner nodes hold separator keys and children;
 // leaf nodes hold the records and are linked for range scans. Keys in an
@@ -39,6 +42,38 @@ func newBtree(leafMaxBytes int64, innerFanout int) *btree {
 	t.root = &node{leaf: true, id: t.nextPageID, name: pageKey(t.nextPageID)}
 	t.leaves = 1
 	return t
+}
+
+// clone returns an independent copy of the tree. Keys and values are
+// shared; every node and its slices are copied, and the copied leaves are
+// linked left to right as the originals are.
+func (t *btree) clone() *btree {
+	c := *t
+	var last *node
+	c.root = t.root.clone(&last)
+	return &c
+}
+
+// clone copies the subtree under n. Leaves are reached in key order, so
+// each copied leaf becomes the next of *last, the copy made before it.
+func (n *node) clone(last **node) *node {
+	c := *n
+	if n.leaf {
+		c.keys = slices.Clone(n.keys)
+		c.values = slices.Clone(n.values)
+		c.next = nil
+		if *last != nil {
+			(*last).next = &c
+		}
+		*last = &c
+		return &c
+	}
+	c.seps = slices.Clone(n.seps)
+	c.children = make([]*node, len(n.children))
+	for i, child := range n.children {
+		c.children[i] = child.clone(last)
+	}
+	return &c
 }
 
 // descend returns the leaf for key and the path of inner nodes visited.

@@ -8,6 +8,8 @@ package wiredtiger
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"github.com/holmes-colocation/holmes/internal/kvstore"
 	"github.com/holmes-colocation/holmes/internal/workload"
@@ -70,22 +72,38 @@ func New(cfg Config) *Store {
 		cache: kvstore.NewLRU(cfg.CacheBytes, func(id int64) uint64 { return kvstore.HashUint64(uint64(id)) }),
 		res:   kvstore.NewResidency(cfg.LLCBytes),
 	}
-	s.cache.OnEvict = func(id int64, size int64) {
-		// Dirty pages are reconciled to the device on eviction. We do
-		// not track the node pointer here; pageDirty carries the dirty
-		// bit by page id.
-		if s.pageDirty[id] {
-			delete(s.pageDirty, id)
-			s.evictionWrites++
-			s.bg = append(s.bg, kvstore.BackgroundTask{
-				Desc:      "evict+reconcile " + pageKey(id),
-				Cost:      workload.ReadBytes(workload.DRAM, size),
-				SSDWrites: int(size/4096) + 1,
-			})
-		}
-	}
+	s.cache.OnEvict = s.evicted
 	s.pageDirty = map[int64]bool{}
 	return s
+}
+
+// evicted observes a page leaving the cache. Dirty pages are reconciled
+// to the device on eviction. The node pointer is not tracked here;
+// pageDirty carries the dirty bit by page id.
+func (s *Store) evicted(id int64, size int64) {
+	if s.pageDirty[id] {
+		delete(s.pageDirty, id)
+		s.evictionWrites++
+		s.bg = append(s.bg, kvstore.BackgroundTask{
+			Desc:      "evict+reconcile " + pageKey(id),
+			Cost:      workload.ReadBytes(workload.DRAM, size),
+			SSDWrites: int(size/4096) + 1,
+		})
+	}
+}
+
+// Clone implements kvstore.Store. The clone's page cache reports its
+// evictions to the clone.
+func (s *Store) Clone() kvstore.Store {
+	c := new(Store)
+	*c = *s
+	c.tree = s.tree.clone()
+	c.cache = s.cache.Clone()
+	c.cache.OnEvict = c.evicted
+	c.res = s.res.Clone()
+	c.pageDirty = maps.Clone(s.pageDirty)
+	c.bg = slices.Clone(s.bg)
+	return c
 }
 
 // Name implements kvstore.Store.

@@ -106,6 +106,46 @@ func NewStore(name string, seed uint64) (kvstore.Store, error) {
 	return build(seed), nil
 }
 
+// Preload names one preloaded store: the store and its seed, and the
+// YCSB load phase run into it.
+type Preload struct {
+	Store     string // a name NewStore knows
+	StoreSeed uint64
+	Workload  ycsb.Workload
+	Records   int64
+	GenSeed   uint64 // seeds the YCSB generator
+}
+
+// Load builds the store and runs the load phase into it, discarding the
+// load's background work. It returns the loaded store and the generator
+// that loaded it, whose request stream a client can drive next. A
+// Preload's store is the same on every call, so one load can be cloned
+// (kvstore.Store.Clone) for every service that wants it.
+func (p Preload) Load() (kvstore.Store, *ycsb.Generator, error) {
+	store, err := NewStore(p.Store, p.StoreSeed)
+	if err != nil {
+		return nil, nil, err
+	}
+	gcfg := ycsb.DefaultConfig(p.Workload)
+	gcfg.RecordCount = p.Records
+	gcfg.Seed = p.GenSeed
+	gen := ycsb.NewGenerator(gcfg)
+	load(store, gen)
+	return store, gen, nil
+}
+
+// load runs gen's load phase into store and discards the background
+// work it queued: the data is in place before the measured run, as with
+// a real preloaded store.
+func load(store kvstore.Store, gen *ycsb.Generator) {
+	gen.LoadOps(func(key string, value []byte) {
+		store.Insert(key, value)
+	})
+	if b, ok := store.(kvstore.Backgrounder); ok {
+		b.DrainBackground()
+	}
+}
+
 // Service is a running latency-critical service.
 type Service struct {
 	store kvstore.Store
@@ -224,15 +264,8 @@ func (s *Service) SetAdmission(limit, deadlineNs int64) {
 
 // Load performs the YCSB load phase directly (no latency recording): the
 // data is in place before the measured run, as with a real preloaded
-// store.
-func (s *Service) Load(gen *ycsb.Generator) {
-	gen.LoadOps(func(key string, value []byte) {
-		s.store.Insert(key, value)
-	})
-	if b, ok := s.store.(kvstore.Backgrounder); ok {
-		b.DrainBackground() // discard load-phase maintenance
-	}
-}
+// store. Preload.Load does the same before the service launches.
+func (s *Service) Load(gen *ycsb.Generator) { load(s.store, gen) }
 
 // Submit executes op against the store and enqueues its cost on a worker
 // thread. The recorded latency spans from now to the completion of the

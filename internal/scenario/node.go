@@ -93,20 +93,22 @@ func Boot(spec Spec, tel *telemetry.Set) (*Node, error) {
 	}
 
 	for i, ss := range spec.Services {
-		store, err := lcservice.NewStore(ss.Store, mcfg.Seed+uint64(i))
+		wl, _ := ycsb.ByName(defaultStr(ss.Workload, "a"))
+		records := ss.RecordCount
+		if records == 0 {
+			records = 50_000
+		}
+		store, gen, err := lcservice.Preload{
+			Store:     ss.Store,
+			StoreSeed: mcfg.Seed + uint64(i),
+			Workload:  wl,
+			Records:   records,
+			GenSeed:   mcfg.Seed + 17 + uint64(i)*101,
+		}.Load()
 		if err != nil {
 			return nil, err
 		}
 		svc := lcservice.Launch(k, store, lcservice.DefaultConfigFor(ss.Store))
-		wl, _ := ycsb.ByName(defaultStr(ss.Workload, "a"))
-		gcfg := ycsb.DefaultConfig(wl)
-		gcfg.RecordCount = ss.RecordCount
-		if gcfg.RecordCount == 0 {
-			gcfg.RecordCount = 50_000
-		}
-		gcfg.Seed = mcfg.Seed + 17 + uint64(i)*101
-		gen := ycsb.NewGenerator(gcfg)
-		svc.Load(gen)
 
 		var tr *ycsb.Traffic
 		if ss.BurstSeconds[0] > 0 {
