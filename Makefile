@@ -57,13 +57,15 @@ smoke:
 
 # Short fuzz smoke: a few seconds per fuzz target over the codec,
 # generator and chaos-spec corpora, the LRU (its open-addressing index
-# against the container/list oracle), store clones (a clone of a
+# against the container/list oracle), the skiplist (its slab nodes and
+# append finger against the pointer oracle), store clones (a clone of a
 # preloaded image against a fresh load, for all four stores) and
 # interval batching. CI runs this; `go test` alone only replays seeds.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzRecordRoundTrip -fuzztime=10s ./internal/kvstore
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/kvstore
 	$(GO) test -run=^$$ -fuzz=FuzzLRUOracle -fuzztime=10s ./internal/kvstore
+	$(GO) test -run=^$$ -fuzz=FuzzSkiplistOracle -fuzztime=10s ./internal/kvstore
 	$(GO) test -run=^$$ -fuzz=FuzzCloneOracle -fuzztime=10s ./internal/kvstore
 	$(GO) test -run=^$$ -fuzz=FuzzZipf -fuzztime=10s ./internal/rng
 	$(GO) test -run=^$$ -fuzz=FuzzScrambledZipf -fuzztime=10s ./internal/rng

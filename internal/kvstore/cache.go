@@ -22,11 +22,12 @@ import (
 // chain per entry.
 //
 // The index is an open-addressing table of slot+1 values (0 is empty),
-// probed linearly and doubled at 3/4 load. Each slot keeps its key and
-// that key's hash, so the key is stored once, and growing the table or
-// deleting from it (by backward shift, with no tombstones) never hashes
-// a key again. Nothing iterates the table to produce output, so hash
-// values cannot reach it.
+// probed linearly and doubled at 3/4 load. A miss is placed in the empty
+// bucket where its probe stopped, so it probes the table once. Each slot
+// keeps its key and that key's hash, so the key is stored once, and
+// growing the table or deleting from it (by backward shift, with no
+// tombstones) never hashes a key again. Nothing iterates the table to
+// produce output, so hash values cannot reach it.
 //
 // It is deterministic and not safe for concurrent use; the simulation is
 // single-threaded.
@@ -91,26 +92,29 @@ func HashUint64(x uint64) uint64 {
 	return x ^ x>>31
 }
 
-// find returns the slot holding key, or nilSlot.
-func (c *LRU[K]) find(key K, h uint64) int32 {
+// find returns the slot holding key, or nilSlot and the empty bucket
+// where the probe ended, which is where key would be placed.
+func (c *LRU[K]) find(key K, h uint64) (int32, uint64) {
 	if len(c.table) == 0 {
-		return nilSlot
+		return nilSlot, 0
 	}
 	mask := uint64(len(c.table) - 1)
-	for b := h & mask; c.table[b] != 0; b = (b + 1) & mask {
+	b := h & mask
+	for ; c.table[b] != 0; b = (b + 1) & mask {
 		i := c.table[b] - 1
 		if s := c.slots.At(i); s.hash == h && s.key == key {
-			return i
+			return i, b
 		}
 	}
-	return nilSlot
+	return nilSlot, b
 }
 
 // Touch records an access to key with the given size and reports whether
 // it was resident. Missing keys are inserted (which may evict).
 func (c *LRU[K]) Touch(key K, size int64) (hit bool) {
 	h := c.hash(key)
-	if i := c.find(key, h); i != nilSlot {
+	i, b := c.find(key, h)
+	if i != nilSlot {
 		c.unlink(i) // refresh before any eviction scan
 		c.pushFront(i)
 		if s := c.slots.At(i); s.size != size {
@@ -122,24 +126,27 @@ func (c *LRU[K]) Touch(key K, size int64) (hit bool) {
 		return true
 	}
 	c.misses++
-	c.insert(key, h, size)
+	c.insert(key, h, b, size)
 	return false
 }
 
 // Contains reports residency without updating recency or stats.
 func (c *LRU[K]) Contains(key K) bool {
-	return c.find(key, c.hash(key)) != nilSlot
+	i, _ := c.find(key, c.hash(key))
+	return i != nilSlot
 }
 
 // Remove evicts key explicitly (invalidation), without OnEvict.
 func (c *LRU[K]) Remove(key K) {
-	if i := c.find(key, c.hash(key)); i != nilSlot {
+	if i, _ := c.find(key, c.hash(key)); i != nilSlot {
 		c.used -= c.slots.At(i).size
 		c.release(i)
 	}
 }
 
-func (c *LRU[K]) insert(key K, h uint64, size int64) {
+// insert adds key, which hashes to h and whose failed probe ended at
+// bucket b.
+func (c *LRU[K]) insert(key K, h, b uint64, size int64) {
 	if c.capacity <= 0 || size > c.capacity {
 		return // uncacheable
 	}
@@ -152,25 +159,29 @@ func (c *LRU[K]) insert(key K, h uint64, size int64) {
 	s := c.slots.At(i)
 	s.key, s.hash, s.size = key, h, size
 	c.pushFront(i)
-	c.index(i, h)
+	c.index(i, h, b)
 	c.used += size
 	c.evictIfNeeded()
 }
 
-// index adds slot i, whose key hashes to h, to the table, doubling the
-// table first if the entry would take it past 3/4 load.
-func (c *LRU[K]) index(i int32, h uint64) {
-	if (c.n+1)*4 > len(c.table)*3 {
-		old := c.table
-		c.table = make([]int32, max(minTable, 2*len(old)))
-		for _, v := range old {
-			if v != 0 {
-				c.place(v, c.slots.At(v-1).hash)
-			}
+// index adds slot i, whose key hashes to h, to the table at bucket b,
+// the empty bucket its failed probe ended at. If the entry would take
+// the table past 3/4 load, the table doubles first and the entry is
+// placed by a fresh probe instead.
+func (c *LRU[K]) index(i int32, h, b uint64) {
+	c.n++
+	if c.n*4 <= len(c.table)*3 {
+		c.table[b] = i + 1
+		return
+	}
+	old := c.table
+	c.table = make([]int32, max(minTable, 2*len(old)))
+	for _, v := range old {
+		if v != 0 {
+			c.place(v, c.slots.At(v-1).hash)
 		}
 	}
 	c.place(i+1, h)
-	c.n++
 }
 
 // place stores v in the first empty bucket at or after h's home bucket.

@@ -136,7 +136,9 @@ func lruOracleMismatch(cap64 int64, keys int, hash func(string) uint64, ops []lr
 // thousands of keys over a capacity holding hundreds of entries, in
 // long streams, so the index grows, probe runs get long and evictions
 // delete by backward shift across the table's end (with the clustered
-// hash, on every probe run).
+// hash, on every probe run). A last case inserts keys one by one across
+// the index's first three 3/4-load boundaries, so a miss is placed both
+// where its probe stopped and, when the table doubles, by a new probe.
 func TestLRUMatchesOracle(t *testing.T) {
 	small := func(capacity uint16, ops []lruOp) bool {
 		if msg := lruOracleMismatch(int64(capacity%1024), 12, HashString, ops); msg != "" {
@@ -169,6 +171,39 @@ func TestLRUMatchesOracle(t *testing.T) {
 		}
 		if err := quick.Check(large, &quick.Config{MaxCount: 12, Values: long}); err != nil {
 			t.Fatal(err)
+		}
+	}
+	// Inserts that land exactly at the 3/4-load boundary: the 12th, 24th
+	// and 48th keys fill the table to 3/4 and are placed in the bucket
+	// their probe stopped at; the 13th, 25th and 49th double it first and
+	// are placed by a fresh probe. Then every key is looked up, touched
+	// and removed.
+	for _, h := range []struct {
+		name string
+		hash func(string) uint64
+	}{{"maphash", HashString}, {"clustered", clusteredHash}} {
+		const keys = 49
+		var ops []lruOp
+		c := NewLRU(1<<20, h.hash)
+		for k := range keys {
+			ops = append(ops, lruOp{Kind: 0, Key: uint16(k), Size: 1})
+			c.Touch(fmt.Sprintf("k%d", k), 1)
+			want := minTable
+			for (k+1)*4 > want*3 {
+				want *= 2
+			}
+			if len(c.table) != want {
+				t.Fatalf("%s: %d keys in a %d-bucket table, want %d buckets", h.name, k+1, len(c.table), want)
+			}
+		}
+		for k := range keys {
+			ops = append(ops, lruOp{Kind: 3, Key: uint16(k)}, lruOp{Kind: 0, Key: uint16(k), Size: 2})
+		}
+		for k := range keys {
+			ops = append(ops, lruOp{Kind: 2, Key: uint16(k)}, lruOp{Kind: 3, Key: uint16(k)})
+		}
+		if msg := lruOracleMismatch(1<<20, keys, h.hash, ops); msg != "" {
+			t.Fatalf("%s, growth boundary: %s", h.name, msg)
 		}
 	}
 }

@@ -1,5 +1,11 @@
 package redis
 
+import (
+	"slices"
+
+	"github.com/holmes-colocation/holmes/internal/kvstore"
+)
+
 // dict is a reproduction of the Redis hash table: chained buckets with
 // power-of-two sizing and *incremental rehash* — when the load factor
 // exceeds 1, a second table of twice the size is allocated and every
@@ -7,8 +13,18 @@ package redis
 //
 // The structure exposes step counters (chain nodes visited, buckets
 // migrated) that the store's cost model converts into memory accesses.
+//
+// Entries live in one slab and chain by slot index. Slot 0 is never
+// used, so link 0 ends a chain and a new table is all empty buckets.
+// Deleted entries go on a free list, so an insert allocates only when
+// the slab adds a chunk, and a clone copies a few flat arrays. Each
+// entry keeps the low 32 bits of its key's hash, which pick its bucket
+// in any table (int32 slots bound the table size): a key is hashed once,
+// when it is set, and a lookup compares keys only on a hash match.
 type dict struct {
-	tables    [2][]*dictEntry
+	entries   kvstore.Slab[dictEntry]
+	free      int32      // first free slot (linked by next), 0 = none
+	tables    [2][]int32 // each bucket's first entry, 0 = empty
 	used      [2]int
 	rehashIdx int // -1 when not rehashing; else next bucket of table 0 to move
 
@@ -20,39 +36,27 @@ type dict struct {
 type dictEntry struct {
 	key   string
 	value []byte
-	next  *dictEntry
+	next  int32
+	hash  uint32 // the low bits of hashString(key)
 }
 
 const dictInitialSize = 16
 
 func newDict() *dict {
-	return &dict{
-		tables:    [2][]*dictEntry{make([]*dictEntry, dictInitialSize), nil},
-		rehashIdx: -1,
-	}
+	d := &dict{rehashIdx: -1}
+	d.tables[0] = make([]int32, dictInitialSize)
+	d.entries.Add() // slot 0, never an entry
+	return d
 }
 
 // clone returns an independent copy of the table, mid-rehash included.
-// Each bucket's chain keeps its order, so lookups walk the same steps.
-// The copied entries share one allocation.
+// Links are slot indices, so copying the arrays copies every chain in
+// its order, and lookups walk the same steps.
 func (d *dict) clone() *dict {
 	c := *d
-	entries := make([]dictEntry, d.Len())
+	c.entries = d.entries.Clone()
 	for t, table := range d.tables {
-		if table == nil {
-			continue
-		}
-		c.tables[t] = make([]*dictEntry, len(table))
-		for i, e := range table {
-			link := &c.tables[t][i]
-			for ; e != nil; e = e.next {
-				n := &entries[0]
-				entries = entries[1:]
-				n.key, n.value = e.key, e.value
-				*link = n
-				link = &n.next
-			}
-		}
+		c.tables[t] = slices.Clone(table)
 	}
 	return &c
 }
@@ -86,7 +90,7 @@ func (d *dict) rehashStep() {
 	// Skip up to a bounded number of empty buckets per step (Redis uses
 	// n*10) so rehash always terminates.
 	empties := 0
-	for d.rehashIdx < len(t0) && t0[d.rehashIdx] == nil {
+	for d.rehashIdx < len(t0) && t0[d.rehashIdx] == 0 {
 		d.rehashIdx++
 		empties++
 		if empties >= 10 {
@@ -97,17 +101,17 @@ func (d *dict) rehashStep() {
 		d.finishRehash()
 		return
 	}
-	e := t0[d.rehashIdx]
-	t0[d.rehashIdx] = nil
-	for e != nil {
+	i := t0[d.rehashIdx]
+	t0[d.rehashIdx] = 0
+	for i != 0 {
+		e := d.entries.At(i)
 		next := e.next
-		idx := hashString(e.key) & uint64(len(d.tables[1])-1)
-		e.next = d.tables[1][idx]
-		d.tables[1][idx] = e
+		b := &d.tables[1][uint64(e.hash)&uint64(len(d.tables[1])-1)]
+		e.next, *b = *b, i
 		d.used[0]--
 		d.used[1]++
 		d.rehashedKeys++
-		e = next
+		i = next
 	}
 	d.rehashIdx++
 	if d.rehashIdx >= len(t0) {
@@ -129,53 +133,45 @@ func (d *dict) maybeGrow() {
 		return
 	}
 	if d.used[0] >= len(d.tables[0]) {
-		d.tables[1] = make([]*dictEntry, len(d.tables[0])*2)
+		d.tables[1] = make([]int32, len(d.tables[0])*2)
 		d.rehashIdx = 0
 	}
 }
 
-// find returns the entry for key and counts chain steps.
-func (d *dict) find(key string) *dictEntry {
+// find returns the link (a bucket or an entry's next) that holds key's
+// slot and the table it is in, or nil, and counts chain steps.
+func (d *dict) find(key string, h uint64) (*int32, int) {
 	d.chainSteps = 0
-	h := hashString(key)
-	for t := 0; t < 2; t++ {
+	for t := 0; t < 2 && d.tables[t] != nil; t++ {
 		table := d.tables[t]
-		if table == nil {
-			break
-		}
-		idx := h & uint64(len(table)-1)
-		for e := table[idx]; e != nil; e = e.next {
+		for link := &table[h&uint64(len(table)-1)]; *link != 0; link = &d.entries.At(*link).next {
 			d.chainSteps++
-			if e.key == key {
-				return e
+			if e := d.entries.At(*link); e.hash == uint32(h) && e.key == key {
+				return link, t
 			}
 		}
 		if !d.rehashing() {
 			break
 		}
 	}
-	return nil
+	return nil, 0
 }
 
 // Get looks up key, performing one rehash step first (Redis semantics).
 func (d *dict) Get(key string) ([]byte, bool) {
-	if d.rehashing() {
-		d.rehashStep()
+	d.rehashStep()
+	if link, _ := d.find(key, hashString(key)); link != nil {
+		return d.entries.At(*link).value, true
 	}
-	e := d.find(key)
-	if e == nil {
-		return nil, false
-	}
-	return e.value, true
+	return nil, false
 }
 
 // Set inserts or overwrites, returning true when the key is new.
 func (d *dict) Set(key string, value []byte) bool {
-	if d.rehashing() {
-		d.rehashStep()
-	}
-	if e := d.find(key); e != nil {
-		e.value = value
+	d.rehashStep()
+	h := hashString(key)
+	if link, _ := d.find(key, h); link != nil {
+		d.entries.At(*link).value = value
 		return false
 	}
 	d.maybeGrow()
@@ -184,43 +180,32 @@ func (d *dict) Set(key string, value []byte) bool {
 	if d.rehashing() {
 		t = 1
 	}
-	table := d.tables[t]
-	idx := hashString(key) & uint64(len(table)-1)
-	table[idx] = &dictEntry{key: key, value: value, next: table[idx]}
+	i := d.free
+	if i != 0 {
+		d.free = d.entries.At(i).next
+	} else {
+		i = d.entries.Add()
+	}
+	b := &d.tables[t][h&uint64(len(d.tables[t])-1)]
+	*d.entries.At(i) = dictEntry{key: key, value: value, next: *b, hash: uint32(h)}
+	*b = i
 	d.used[t]++
 	return true
 }
 
-// Delete removes key, reporting whether it existed.
+// Delete removes key, reporting whether it existed. Its slot goes on
+// the free list.
 func (d *dict) Delete(key string) bool {
-	if d.rehashing() {
-		d.rehashStep()
+	d.rehashStep()
+	link, t := d.find(key, hashString(key))
+	if link == nil {
+		return false
 	}
-	d.chainSteps = 0
-	h := hashString(key)
-	for t := 0; t < 2; t++ {
-		table := d.tables[t]
-		if table == nil {
-			break
-		}
-		idx := h & uint64(len(table)-1)
-		var prev *dictEntry
-		for e := table[idx]; e != nil; e = e.next {
-			d.chainSteps++
-			if e.key == key {
-				if prev == nil {
-					table[idx] = e.next
-				} else {
-					prev.next = e.next
-				}
-				d.used[t]--
-				return true
-			}
-			prev = e
-		}
-		if !d.rehashing() {
-			break
-		}
-	}
-	return false
+	i := *link
+	e := d.entries.At(i)
+	*link = e.next
+	*e = dictEntry{next: d.free} // drop the key and value for the GC
+	d.free = i
+	d.used[t]--
+	return true
 }

@@ -44,7 +44,7 @@ func BenchmarkBloomProbe(b *testing.B) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("user%09d", i)
 	}
-	f := newBloom(keys, 10)
+	f := bloomOf(keys, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.mayContain(keys[i%len(keys)])

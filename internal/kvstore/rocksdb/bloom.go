@@ -8,22 +8,19 @@ type bloom struct {
 	k     int
 }
 
-// newBloom builds a filter over keys with bitsPerKey bits per key.
-func newBloom(keys []string, bitsPerKey int) *bloom {
+// newBloom returns an empty filter sized for keys keys at bitsPerKey
+// bits per key; add fills it.
+func newBloom(keys, bitsPerKey int) *bloom {
 	if bitsPerKey < 1 {
 		bitsPerKey = 1
 	}
-	n := uint64(len(keys)*bitsPerKey + 64)
-	b := &bloom{
+	n := uint64(keys*bitsPerKey + 64)
+	return &bloom{
 		bits:  make([]uint64, (n+63)/64),
 		nbits: n,
 		// k = bitsPerKey * ln2, clamped like RocksDB.
 		k: max(1, min(30, int(float64(bitsPerKey)*0.69))),
 	}
-	for _, key := range keys {
-		b.add(key)
-	}
-	return b
 }
 
 func bloomHash(key string) (h1, h2 uint64) {

@@ -437,29 +437,29 @@ func (s *Store) compact(l int) {
 		debugCompact(l, sources, overlapped, bottommost)
 	}
 
-	// Split into output tables.
+	// Split into output tables, each holding a copy of its run of merged
+	// entries, sized exactly.
 	var outTables []*sstable
-	var cur []entry
+	start := 0
 	var curBytes int64
 	var outBytes int64
-	flushOut := func() {
-		if len(cur) == 0 {
+	flushOut := func(end int) {
+		if end == start {
 			return
 		}
 		s.nextSSTID++
-		nt := buildSSTable(s.nextSSTID, l+1, cur, blockBytes, bloomBitsPerKey)
+		nt := buildSSTable(s.nextSSTID, l+1, slices.Clone(merged[start:end]), blockBytes, bloomBitsPerKey)
 		outTables = append(outTables, nt)
 		outBytes += nt.size
-		cur, curBytes = nil, 0
+		start, curBytes = end, 0
 	}
-	for _, e := range merged {
-		cur = append(cur, e)
+	for i, e := range merged {
 		curBytes += entryBytes(e)
 		if curBytes >= s.cfg.MaxTableBytes {
-			flushOut()
+			flushOut(i + 1)
 		}
 	}
-	flushOut()
+	flushOut(len(merged))
 
 	next := append(keep, outTables...)
 	sort.Slice(next, func(i, j int) bool { return next[i].minKey < next[j].minKey })

@@ -16,12 +16,21 @@ func testConfig() Config {
 	return cfg
 }
 
+// bloomOf builds a filter over keys.
+func bloomOf(keys []string, bitsPerKey int) *bloom {
+	b := newBloom(len(keys), bitsPerKey)
+	for _, k := range keys {
+		b.add(k)
+	}
+	return b
+}
+
 func TestBloomNoFalseNegatives(t *testing.T) {
 	keys := make([]string, 1000)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key%05d", i)
 	}
-	b := newBloom(keys, 10)
+	b := bloomOf(keys, 10)
 	for _, k := range keys {
 		if !b.mayContain(k) {
 			t.Fatalf("false negative for %s", k)
@@ -34,7 +43,7 @@ func TestBloomFalsePositiveRate(t *testing.T) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key%06d", i)
 	}
-	b := newBloom(keys, 10)
+	b := bloomOf(keys, 10)
 	fp := 0
 	const probes = 10000
 	for i := 0; i < probes; i++ {

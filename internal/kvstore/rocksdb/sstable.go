@@ -48,13 +48,12 @@ type sstable struct {
 
 // buildSSTable constructs a table from sorted, de-duplicated entries.
 func buildSSTable(id int64, level int, entries []entry, blockBytes int64, bitsPerKey int) *sstable {
-	t := &sstable{id: id, level: level, entries: entries}
-	keys := make([]string, len(entries))
+	t := &sstable{id: id, level: level, entries: entries, filter: newBloom(len(entries), bitsPerKey)}
 	t.blockOf = make([]int32, len(entries))
 	var inBlock int64
 	block := int32(0)
 	for i, e := range entries {
-		keys[i] = e.key
+		t.filter.add(e.key)
 		sz := entryBytes(e)
 		if inBlock > 0 && inBlock+sz > blockBytes {
 			block++
@@ -70,7 +69,6 @@ func buildSSTable(id int64, level int, entries []entry, blockBytes int64, bitsPe
 	for b := range t.blockNames {
 		t.blockNames[b] = prefix + strconv.Itoa(b)
 	}
-	t.filter = newBloom(keys, bitsPerKey)
 	if len(entries) > 0 {
 		t.minKey = entries[0].key
 		t.maxKey = entries[len(entries)-1].key
@@ -119,7 +117,11 @@ func (t *sstable) overlaps(lo, hi string) bool {
 // into the bottommost level).
 func mergeEntries(sources [][]entry, keepTombstones bool) []entry {
 	idx := make([]int, len(sources))
-	var out []entry
+	n := 0
+	for _, src := range sources {
+		n += len(src)
+	}
+	out := make([]entry, 0, n) // the most the merge can keep
 	for {
 		best := -1
 		var bestKey string

@@ -16,6 +16,14 @@ import (
 // (no link ever points back at the head). Deleted nodes go on a free
 // list per height, so a node allocates only when the slab adds a chunk
 // or the tower slice grows.
+//
+// A fresh or reset skiplist keeps an append finger: the last node at
+// each level and the hops a search for a key past the maximum makes at
+// each level. While keys arrive in ascending order (a YCSB load phase,
+// a memtable filled by one), Set links each new key through the finger
+// with one compare and reports the node visits the full search would
+// have made. A mid-list insert or a delete disarms the finger until the
+// next Reset.
 type Skiplist struct {
 	nodes  Slab[skipNode]
 	tower  []int32 // forward links: node n's level i is tower[n.tower+i]
@@ -26,6 +34,12 @@ type Skiplist struct {
 	// searchSteps counts node visits of the last operation, feeding the
 	// operation's memory-access cost.
 	searchSteps int
+	// The append finger, valid while armed: last[i] is the last node at
+	// level i (0 = the head), and hops[i] counts the level-i nodes after
+	// last[i+1], the hops a search past the maximum makes at level i.
+	armed bool
+	last  [skipMaxLevel]int32
+	hops  [skipMaxLevel]int
 }
 
 const skipMaxLevel = 16
@@ -49,7 +63,7 @@ func (s *Skiplist) Reset(seed uint64) {
 	s.nodes.Reset()
 	s.nodes.Add() // the head, with the first skipMaxLevel links
 	s.tower = append(s.tower[:0], make([]int32, skipMaxLevel)...)
-	*s = Skiplist{nodes: s.nodes, tower: s.tower, level: 1, src: rng.New(seed)}
+	*s = Skiplist{nodes: s.nodes, tower: s.tower, level: 1, src: rng.New(seed), armed: true}
 }
 
 // Clone returns an independent copy of the skiplist: its nodes, links,
@@ -98,12 +112,35 @@ func (s *Skiplist) findPredecessors(key string, update *[skipMaxLevel]int32) int
 
 // Set inserts or overwrites key. It returns true if the key was new.
 func (s *Skiplist) Set(key string, value []byte) bool {
+	if s.armed && key > s.nodes.At(s.last[0]).key { // the head's key is ""
+		s.searchSteps = 0
+		for _, h := range s.hops[:s.level] {
+			s.searchSteps += h
+		}
+		n, lvl := s.link(key, value, &s.last)
+		// n is now last on each of its levels: a search past it makes
+		// one more hop at n's top level and none below it.
+		for i := 0; i < lvl-1; i++ {
+			s.last[i], s.hops[i] = n, 0
+		}
+		s.last[lvl-1] = n
+		s.hops[lvl-1]++
+		return true
+	}
 	var update [skipMaxLevel]int32
 	cand := s.findPredecessors(key, &update)
 	if c := s.nodes.At(cand); cand != 0 && c.key == key {
 		c.value = value
 		return false
 	}
+	s.link(key, value, &update)
+	s.armed = false // the finger's hop counts no longer hold
+	return true
+}
+
+// link inserts a new node for key after update[i] at each level of a
+// freshly drawn height, returning the node and its height.
+func (s *Skiplist) link(key string, value []byte, update *[skipMaxLevel]int32) (int32, int) {
 	lvl := s.randomLevel()
 	if lvl > s.level {
 		for i := s.level; i < lvl; i++ {
@@ -120,7 +157,7 @@ func (s *Skiplist) Set(key string, value []byte) bool {
 		s.tower[p] = n
 	}
 	s.length++
-	return true
+	return n, lvl
 }
 
 // alloc returns a node with lvl links, reusing a deleted one of the same
@@ -170,6 +207,7 @@ func (s *Skiplist) Delete(key string) bool {
 	s.tower[c.tower] = s.free[lvl-1]
 	s.free[lvl-1] = cand
 	s.length--
+	s.armed = false
 	return true
 }
 

@@ -1,7 +1,11 @@
 package kvstore
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -125,8 +129,9 @@ func (s *oracleSkiplist) All(fn func(key string, value []byte)) {
 	}
 }
 
-// skipOp is one step of a random stream: Set, Delete, Get, Seek or Reset,
-// each followed by All.
+// skipOp is one step of a random stream: Set, Delete, Get, Seek or
+// Reset of a key near the largest one set since the last reset, or an
+// append of Count%16+1 keys past it; each followed by All.
 type skipOp struct {
 	Kind  uint8
 	Key   uint8
@@ -134,59 +139,143 @@ type skipOp struct {
 	Stop  uint8 // Seek's callback stops after this many entries
 }
 
-// TestSkiplistMatchesOracle drives the slab skiplist and the pointer
-// oracle, seeded alike, through random Set, Delete, Get, Seek, Reset and
-// All streams over a small key space (so deletes hit and freed nodes are
-// reused), requiring identical results, visit sequences, lengths and
-// LastSearchSteps after every op. A Reset is matched by a fresh oracle.
-func TestSkiplistMatchesOracle(t *testing.T) {
-	check := func(seed uint64, ops []skipOp) bool {
-		slab, oracle := NewSkiplist(seed), newOracleSkiplist(seed)
-		for step, op := range ops {
-			key := fmt.Sprintf("k%03d", op.Key%64)
-			var got, want string
-			switch op.Kind % 6 {
-			case 0, 1:
-				val := []byte{op.Count}
-				got = fmt.Sprint(slab.Set(key, val))
-				want = fmt.Sprint(oracle.Set(key, val))
-			case 2:
-				got, want = fmt.Sprint(slab.Delete(key)), fmt.Sprint(oracle.Delete(key))
-			case 3:
-				v, ok := slab.Get(key)
-				got = fmt.Sprint(v, ok)
-				v, ok = oracle.Get(key)
-				want = fmt.Sprint(v, ok)
-			case 4:
-				seek := func(out *string) func(string, []byte) bool {
-					seen := 0
-					return func(k string, v []byte) bool {
-						*out += fmt.Sprint(k, v, " ")
-						seen++
-						return seen <= int(op.Stop%8)
-					}
-				}
-				n := slab.Seek(key, int(op.Count%16), seek(&got))
-				got += fmt.Sprint(n)
-				n = oracle.Seek(key, int(op.Count%16), seek(&want))
-				want += fmt.Sprint(n)
-			case 5:
-				slab.Reset(seed + uint64(op.Count))
-				oracle = newOracleSkiplist(seed + uint64(op.Count))
-			}
-			slab.All(func(k string, v []byte) { got += fmt.Sprint(" ", k, v) })
-			oracle.All(func(k string, v []byte) { want += fmt.Sprint(" ", k, v) })
+// visits lists the entries all visits, in order.
+func visits(all func(func(string, []byte))) []string {
+	var out []string
+	all(func(k string, v []byte) { out = append(out, k+string(v)) })
+	return out
+}
+
+// skipOracleMismatch drives the slab skiplist and the pointer oracle,
+// seeded alike, through ops and describes the first step after which
+// their results, visit sequences (All), lengths, levels or
+// LastSearchSteps differ, or returns "". Keys are numbered; hi is the
+// largest number set since the last reset. Set, Delete, Get and Seek
+// take a key within 64 of hi, so they overwrite, insert mid-list,
+// delete, and (Key%64 == 0) go just past the maximum; an append sets
+// hi+1, hi+2, ... and compares after each key. A Reset is matched by a
+// fresh oracle.
+func skipOracleMismatch(seed uint64, ops []skipOp) string {
+	slab, oracle := NewSkiplist(seed), newOracleSkiplist(seed)
+	hi := 0
+	name := func(n int) string { return fmt.Sprintf("k%06d", n) }
+	for step, op := range ops {
+		n := hi + 1 - int(op.Key%64)
+		if n < 0 {
+			n = -n
+		}
+		key := name(n)
+		var got, want string
+		agree := func() string {
 			if got != want || slab.Len() != oracle.length ||
 				slab.LastSearchSteps() != oracle.searchSteps || slab.level != oracle.level {
-				t.Logf("seed %d, step %d (%+v): %q vs %q, len %d/%d, steps %d/%d, level %d/%d",
+				return fmt.Sprintf("seed %d, step %d (%+v): %q vs %q, len %d/%d, steps %d/%d, level %d/%d",
 					seed, step, op, got, want, slab.Len(), oracle.length,
 					slab.LastSearchSteps(), oracle.searchSteps, slab.level, oracle.level)
-				return false
 			}
+			return ""
+		}
+		switch op.Kind % 8 {
+		case 0:
+			val := []byte{op.Count}
+			got = fmt.Sprint(slab.Set(key, val))
+			want = fmt.Sprint(oracle.Set(key, val))
+			hi = max(hi, n)
+		case 1:
+			got, want = fmt.Sprint(slab.Delete(key)), fmt.Sprint(oracle.Delete(key))
+		case 2:
+			v, ok := slab.Get(key)
+			got = fmt.Sprint(v, ok)
+			v, ok = oracle.Get(key)
+			want = fmt.Sprint(v, ok)
+		case 3:
+			seek := func(out *string) func(string, []byte) bool {
+				seen := 0
+				return func(k string, v []byte) bool {
+					*out += fmt.Sprint(k, v, " ")
+					seen++
+					return seen <= int(op.Stop%8)
+				}
+			}
+			visited := slab.Seek(key, int(op.Count%16), seek(&got))
+			got += fmt.Sprint(visited)
+			visited = oracle.Seek(key, int(op.Count%16), seek(&want))
+			want += fmt.Sprint(visited)
+		case 4:
+			slab.Reset(seed + uint64(op.Count))
+			oracle = newOracleSkiplist(seed + uint64(op.Count))
+			hi = 0
+		default:
+			for range int(op.Count%16) + 1 {
+				hi++
+				val := []byte{op.Stop}
+				got = fmt.Sprint(slab.Set(name(hi), val))
+				want = fmt.Sprint(oracle.Set(name(hi), val))
+				if msg := agree(); msg != "" {
+					return "append: " + msg
+				}
+			}
+		}
+		if msg := agree(); msg != "" {
+			return msg
+		}
+		if g, w := visits(slab.All), visits(oracle.All); !slices.Equal(g, w) {
+			return fmt.Sprintf("seed %d, step %d (%+v): All visits %q, oracle %q", seed, step, op, g, w)
+		}
+	}
+	return ""
+}
+
+// TestSkiplistMatchesOracle drives the slab skiplist and the pointer
+// oracle through random streams of appends (ascending keys past the
+// maximum, the skiplist's append finger) mixed with Set, Delete, Get,
+// Seek and Reset near the maximum: overwrites, mid-list inserts that
+// disarm the finger, deletes that free nodes for reuse, and resets that
+// re-arm it. It requires identical results, visit sequences, lengths,
+// levels and LastSearchSteps after every op and every appended key. A
+// second set of long append-heavy streams grows towers several levels
+// high before the first mid-list insert.
+func TestSkiplistMatchesOracle(t *testing.T) {
+	check := func(seed uint64, ops []skipOp) bool {
+		if msg := skipOracleMismatch(seed, ops); msg != "" {
+			t.Log(msg)
+			return false
 		}
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+	long := func(args []reflect.Value, r *rand.Rand) {
+		args[0] = reflect.ValueOf(r.Uint64())
+		ops := make([]skipOp, 400)
+		for i := range ops {
+			ops[i] = skipOp{Kind: 5, Count: 15, Stop: uint8(i)}
+			if i >= 200 && r.Intn(4) == 0 { // mixed ops after 3,200 appended keys
+				ops[i] = skipOp{Kind: uint8(r.Intn(4)), Key: uint8(r.Uint32()), Count: uint8(r.Uint32()), Stop: uint8(r.Uint32())}
+			}
+		}
+		args[1] = reflect.ValueOf(ops)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 4, Values: long}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzSkiplistOracle runs the oracle comparison over fuzzed op streams,
+// four bytes per op (kind, key, count, stop), as skipOp encodes them. A
+// stream stops at 256 ops: every op compares whole visit sequences.
+func FuzzSkiplistOracle(f *testing.F) {
+	f.Add(uint64(1), []byte("\x05\x00\x0f\x01\x00\x03\x01\x02\x05\x00\x07\x03\x01\x00\x00\x00\x03\x10\x08\x02\x04\x00\x02\x00\x05\x00\x0f\x04"))
+	f.Add(uint64(7), bytes.Repeat([]byte{0x05, 0x00, 0x0f, 0x09, 0x00, 0x05, 0x01, 0x00, 0x02, 0x21, 0x00, 0x00}, 40))
+	f.Fuzz(func(t *testing.T, seed uint64, data []byte) {
+		ops := make([]skipOp, min(len(data)/4, 256))
+		for i := range ops {
+			b := data[4*i:]
+			ops[i] = skipOp{Kind: b[0], Key: b[1], Count: b[2], Stop: b[3]}
+		}
+		if msg := skipOracleMismatch(seed, ops); msg != "" {
+			t.Fatal(msg)
+		}
+	})
 }

@@ -26,7 +26,7 @@ type node struct {
 	bytes int64
 }
 
-// descendSteps is the number of inner nodes visited by the last descend.
+// btree is the B+tree of one table: its root, shape and page ids.
 type btree struct {
 	root         *node
 	height       int
@@ -99,53 +99,54 @@ func recordBytes(key string, value []byte) int64 {
 	return int64(len(key) + len(value) + 24)
 }
 
-// set inserts or overwrites. It returns (leaf, wasNew, splitHappened).
-func (t *btree) set(key string, value []byte) (*node, bool, bool) {
-	leaf, _ := t.descend(key)
-	i := sort.SearchStrings(leaf.keys, key)
-	if i < len(leaf.keys) && leaf.keys[i] == key {
+// search returns the index of the first key >= key in leaf n and
+// whether it is key itself.
+func (n *node) search(key string) (int, bool) {
+	i := sort.SearchStrings(n.keys, key)
+	return i, i < len(n.keys) && n.keys[i] == key
+}
+
+// get returns key's value in leaf n.
+func (n *node) get(key string) ([]byte, bool) {
+	if i, ok := n.search(key); ok {
+		return n.values[i], true
+	}
+	return nil, false
+}
+
+// set inserts or overwrites key in leaf, the leaf descend(key) returned,
+// so the write walks the tree once. It reports whether the key was new
+// and whether the leaf split (its new right half is then leaf.next).
+func (t *btree) set(leaf *node, key string, value []byte) (isNew, split bool) {
+	i, ok := leaf.search(key)
+	if ok {
 		leaf.bytes += int64(len(value) - len(leaf.values[i]))
 		leaf.values[i] = value
-		return leaf, false, false
+		return false, false
 	}
-	leaf.keys = append(leaf.keys, "")
-	leaf.values = append(leaf.values, nil)
-	copy(leaf.keys[i+1:], leaf.keys[i:])
-	copy(leaf.values[i+1:], leaf.values[i:])
-	leaf.keys[i] = key
-	leaf.values[i] = value
+	leaf.keys = slices.Insert(leaf.keys, i, key)
+	leaf.values = slices.Insert(leaf.values, i, value)
 	leaf.bytes += recordBytes(key, value)
-	split := false
 	if leaf.bytes > t.leafMaxBytes && len(leaf.keys) > 1 {
 		t.splitLeaf(leaf)
-		split = true
+		return true, true
 	}
-	return leaf, true, split
+	return true, false
 }
 
-// get returns the value and the hosting leaf.
-func (t *btree) get(key string) ([]byte, *node, bool) {
-	leaf, _ := t.descend(key)
-	i := sort.SearchStrings(leaf.keys, key)
-	if i < len(leaf.keys) && leaf.keys[i] == key {
-		return leaf.values[i], leaf, true
-	}
-	return nil, leaf, false
-}
-
-// delete removes key, reporting the leaf and whether it existed. Leaf
-// merging is not implemented (WiredTiger reconciles lazily; YCSB never
-// deletes), so pages may become sparse but never invalid.
-func (t *btree) delete(key string) (*node, bool) {
-	leaf, _ := t.descend(key)
-	i := sort.SearchStrings(leaf.keys, key)
-	if i >= len(leaf.keys) || leaf.keys[i] != key {
-		return leaf, false
+// delete removes key from leaf, the leaf descend(key) returned,
+// reporting whether it existed. Leaf merging is not implemented
+// (WiredTiger reconciles lazily; YCSB never deletes), so pages may
+// become sparse but never invalid.
+func (t *btree) delete(leaf *node, key string) bool {
+	i, ok := leaf.search(key)
+	if !ok {
+		return false
 	}
 	leaf.bytes -= recordBytes(key, leaf.values[i])
-	leaf.keys = append(leaf.keys[:i], leaf.keys[i+1:]...)
-	leaf.values = append(leaf.values[:i], leaf.values[i+1:]...)
-	return leaf, true
+	leaf.keys = slices.Delete(leaf.keys, i, i+1)
+	leaf.values = slices.Delete(leaf.values, i, i+1)
+	return true
 }
 
 // splitLeaf splits a full leaf in half and inserts the new separator into
@@ -255,16 +256,16 @@ func targetMinKey(n *node) string {
 	return ""
 }
 
-// seekLeaf returns the leaf holding the first key >= start and that key's
-// index within it.
-func (t *btree) seekLeaf(start string) (*node, int) {
-	leaf, _ := t.descend(start)
-	i := sort.SearchStrings(leaf.keys, start)
-	for leaf != nil && i >= len(leaf.keys) {
-		leaf = leaf.next
+// seek returns the leaf holding the first key >= start, starting from
+// leaf n, the leaf descend(start) returned, and that key's index within
+// it; the leaf is nil when no key is >= start.
+func (n *node) seek(start string) (*node, int) {
+	i, _ := n.search(start)
+	for n != nil && i >= len(n.keys) {
+		n = n.next
 		i = 0
 	}
-	return leaf, i
+	return n, i
 }
 
 // walkLeaves calls fn for every leaf, left to right.

@@ -171,10 +171,10 @@ func descendCost(steps int, cost *workload.Cost) {
 func (s *Store) Read(key string) kvstore.Result {
 	var cost workload.Cost
 	ssdReads := 0
-	v, leaf, ok := s.tree.get(key)
-	_, steps := s.tree.descend(key) // account the walk explicitly
+	leaf, steps := s.tree.descend(key)
 	descendCost(steps, &cost)
 	s.touchPage(leaf, &cost, &ssdReads)
+	v, ok := leaf.get(key)
 	if !ok {
 		return kvstore.Result{Found: false, Cost: cost, SSDReads: ssdReads}
 	}
@@ -198,11 +198,11 @@ func (s *Store) write(key string, value []byte) kvstore.Result {
 	var cost workload.Cost
 	ssdReads := 0
 	// The leaf must be resident to modify: fault it in if needed.
-	preLeaf, steps := s.tree.descend(key)
+	leaf, steps := s.tree.descend(key)
 	descendCost(steps, &cost)
-	s.touchPage(preLeaf, &cost, &ssdReads)
+	s.touchPage(leaf, &cost, &ssdReads)
 
-	leaf, isNew, split := s.tree.set(key, value)
+	isNew, split := s.tree.set(leaf, key, value)
 	s.pageDirty[leaf.id] = true
 	if isNew {
 		s.count++
@@ -238,7 +238,7 @@ func (s *Store) Delete(key string) kvstore.Result {
 	leaf, steps := s.tree.descend(key)
 	descendCost(steps, &cost)
 	s.touchPage(leaf, &cost, &ssdReads)
-	_, ok := s.tree.delete(key)
+	ok := s.tree.delete(leaf, key)
 	if ok {
 		s.count--
 		s.pageDirty[leaf.id] = true
@@ -252,9 +252,9 @@ func (s *Store) Delete(key string) kvstore.Result {
 func (s *Store) Scan(start string, count int) kvstore.Result {
 	var cost workload.Cost
 	ssdReads := 0
-	leaf, i := s.tree.seekLeaf(start)
-	_, steps := s.tree.descend(start)
+	leaf, steps := s.tree.descend(start)
 	descendCost(steps, &cost)
+	leaf, i := leaf.seek(start)
 	visited := 0
 	for leaf != nil && visited < count {
 		s.touchPage(leaf, &cost, &ssdReads)

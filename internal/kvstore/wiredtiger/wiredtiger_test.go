@@ -17,19 +17,26 @@ func testConfig() Config {
 	return cfg
 }
 
+// The tree's operations take the leaf a descent found, which the store
+// passes in; these helpers descend first.
+func put(bt *btree, k string, v []byte)      { leaf, _ := bt.descend(k); bt.set(leaf, k, v) }
+func del(bt *btree, k string) bool           { leaf, _ := bt.descend(k); return bt.delete(leaf, k) }
+func get(bt *btree, k string) ([]byte, bool) { leaf, _ := bt.descend(k); return leaf.get(k) }
+func seek(bt *btree, k string) (*node, int)  { leaf, _ := bt.descend(k); return leaf.seek(k) }
+
 func TestBtreeSetGet(t *testing.T) {
 	bt := newBtree(1<<20, 64)
-	if _, _, ok := bt.get("a"); ok {
+	if _, ok := get(bt, "a"); ok {
 		t.Fatal("empty tree hit")
 	}
-	bt.set("a", []byte("1"))
-	bt.set("b", []byte("2"))
-	if v, _, ok := bt.get("a"); !ok || string(v) != "1" {
+	put(bt, "a", []byte("1"))
+	put(bt, "b", []byte("2"))
+	if v, ok := get(bt, "a"); !ok || string(v) != "1" {
 		t.Fatalf("get a = %q %v", v, ok)
 	}
 	// Overwrite.
-	bt.set("a", []byte("9"))
-	if v, _, _ := bt.get("a"); string(v) != "9" {
+	put(bt, "a", []byte("9"))
+	if v, _ := get(bt, "a"); string(v) != "9" {
 		t.Fatal("overwrite lost")
 	}
 }
@@ -39,7 +46,7 @@ func TestBtreeSplitsAndStaysSorted(t *testing.T) {
 	const n = 2000
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("key%06d", (i*7919)%n)
-		bt.set(k, []byte(k))
+		put(bt, k, []byte(k))
 	}
 	if bt.leaves < 10 || bt.height < 2 {
 		t.Fatalf("tree did not grow: leaves=%d height=%d", bt.leaves, bt.height)
@@ -47,7 +54,7 @@ func TestBtreeSplitsAndStaysSorted(t *testing.T) {
 	// All keys present.
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("key%06d", i)
-		if v, _, ok := bt.get(k); !ok || string(v) != k {
+		if v, ok := get(bt, k); !ok || string(v) != k {
 			t.Fatalf("lost %s after splits", k)
 		}
 	}
@@ -67,18 +74,18 @@ func TestBtreeSplitsAndStaysSorted(t *testing.T) {
 func TestBtreeDelete(t *testing.T) {
 	bt := newBtree(512, 4)
 	for i := 0; i < 500; i++ {
-		bt.set(fmt.Sprintf("k%04d", i), []byte("v"))
+		put(bt, fmt.Sprintf("k%04d", i), []byte("v"))
 	}
-	if _, ok := bt.delete("k0100"); !ok {
+	if ok := del(bt, "k0100"); !ok {
 		t.Fatal("delete existing failed")
 	}
-	if _, ok := bt.delete("k0100"); ok {
+	if ok := del(bt, "k0100"); ok {
 		t.Fatal("double delete")
 	}
-	if _, _, ok := bt.get("k0100"); ok {
+	if _, ok := get(bt, "k0100"); ok {
 		t.Fatal("key survived delete")
 	}
-	if _, _, ok := bt.get("k0101"); !ok {
+	if _, ok := get(bt, "k0101"); !ok {
 		t.Fatal("neighbour lost")
 	}
 }
@@ -86,13 +93,13 @@ func TestBtreeDelete(t *testing.T) {
 func TestBtreeSeekLeaf(t *testing.T) {
 	bt := newBtree(512, 4)
 	for i := 0; i < 100; i++ {
-		bt.set(fmt.Sprintf("k%04d", i*2), nil) // even keys only
+		put(bt, fmt.Sprintf("k%04d", i*2), nil) // even keys only
 	}
-	leaf, i := bt.seekLeaf("k0051") // between k0050 and k0052
+	leaf, i := seek(bt, "k0051") // between k0050 and k0052
 	if leaf == nil || leaf.keys[i] != "k0052" {
 		t.Fatalf("seekLeaf = %v", leaf.keys[i])
 	}
-	leaf, _ = bt.seekLeaf("zzz")
+	leaf, _ = seek(bt, "zzz")
 	if leaf != nil {
 		t.Fatal("seek past end should return nil leaf")
 	}
@@ -111,17 +118,17 @@ func TestBtreePropertyMirrorsMap(t *testing.T) {
 			switch o.Kind % 3 {
 			case 1:
 				v := fmt.Sprintf("v%d", i)
-				bt.set(k, []byte(v))
+				put(bt, k, []byte(v))
 				ref[k] = v
 			case 2:
-				_, got := bt.delete(k)
+				got := del(bt, k)
 				_, want := ref[k]
 				if got != want {
 					return false
 				}
 				delete(ref, k)
 			default:
-				v, _, ok := bt.get(k)
+				v, ok := get(bt, k)
 				want, wok := ref[k]
 				if ok != wok || (ok && string(v) != want) {
 					return false
